@@ -18,16 +18,16 @@
 //! `--json <path>` (perf: write the machine-readable counter baseline),
 //! `--check-against <path>` (perf: exit non-zero when best-match or top-k
 //! DTW or member evaluations regress >2x versus the checked-in baseline,
-//! the tier-0 sketch prune rate falls below half of it, any query class's
-//! p50 wall-clock latency regresses >3x, or the symbolic word index
-//! certifies zero group skips on some dataset — the CI smoke).
+//! the tier-0 sketch prune rate falls below half of it, or the symbolic
+//! word index certifies zero group skips on some dataset — the CI smoke;
+//! counters only, wall-clock belongs to `BENCHMARK.json`).
 //!
 //! ```sh
 //! # regenerate the checked-in perf baseline (the baseline records its
 //! # scale/seed; the check refuses to compare across different flags)
-//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --json BENCH_pr7.json
-//! # CI regression gate (counters first; wall-clock p50 loosely)
-//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --check-against BENCH_pr7.json
+//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --json BENCH_pr10.json
+//! # CI regression gate (exact work counters)
+//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --runs 1 --check-against BENCH_pr10.json
 //! ```
 
 use onex_bench::experiments::{self, Ctx};

@@ -77,9 +77,8 @@ impl Ctx {
     /// `query_threads` is pinned to 1: the baseline's work counters are a
     /// machine-independent contract, and only the sequential scan keeps
     /// them exactly reproducible (the parallel scan's counters depend on
-    /// how fast the shared cutoff tightened). The serving section measures
-    /// multi-client throughput instead — parallelism across queries, each
-    /// query still on the sequential scan.
+    /// how fast the shared cutoff tightened). What threads buy is measured
+    /// by the repo benchmark's `par.*` and `engine.client_scaling_x`.
     pub fn config(&self) -> OnexConfig {
         OnexConfig {
             st: 0.2,

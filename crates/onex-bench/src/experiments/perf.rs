@@ -1,22 +1,18 @@
-//! **Perf baseline** — the machine-readable performance record of the
-//! query engine: per-query-class latency, DTW-evaluation, and prune-rate
-//! counters on the synthetic datasets, emitted as JSON so future changes
-//! have a trajectory to compare against (`BENCH_pr8.json` is the current
-//! checked-in baseline, recorded with the parallel query engine in place
-//! and `query_threads` pinned to 1; `BENCH_pr7.json` / `BENCH_pr5.json` /
-//! `BENCH_pr4.json` / `BENCH_pr3.json` are the pre-parallelism,
-//! pre-index, pre-sketch and pre-columnar records — their
-//! DTW/member-eval counters are identical to pr8's, which is the
-//! result-neutrality proof of all four refactors) and CI can fail on
-//! counter regressions.
+//! **Perf baseline** — the machine-readable *work* record of the query
+//! engine: per-query-class DTW-evaluation and prune-rate counters on the
+//! synthetic datasets, emitted as JSON so future changes have a trajectory
+//! to compare against (`BENCH_pr10.json` is the current checked-in
+//! baseline, recorded with `query_threads` pinned to 1; the older
+//! `BENCH_pr*.json` files are the records of earlier engine generations,
+//! kept as that trajectory) and CI can fail on counter regressions.
 //!
 //! The work counters are recorded under `query_threads = 1` (see
 //! [`Ctx::config`]): only the sequential scan's counters are a
-//! machine-independent contract. Parallelism is measured separately by
-//! the **serving** section — N client threads against one shared
-//! `Explorer`, qps plus p50/p95/p99 tail latency per query class — with a
-//! self-relative gate (multi-client qps ≥ 1.5× single-client on ECG,
-//! skipped on single-core machines) rather than a cross-machine one.
+//! machine-independent contract. Wall-clock is **not** this experiment's
+//! business: every latency, throughput and multi-client number is measured
+//! and gated by the repo benchmark (`BENCHMARK.json`, `benchmark/`); the
+//! per-cell latency columns printed and recorded here are for a human
+//! reading the table, and no check reads them.
 //!
 //! Three variants per class isolate the lower-bound pipeline:
 //! `cascade` (the default full pipeline, symbolic index + sketch tier
@@ -24,11 +20,7 @@
 //! check, the pre-cascade engine), and `unpruned` (no lower bounds at
 //! all). Counters are exact and deterministic for a given
 //! `--scale`/`--seed`, which is what makes the CI check stable on shared
-//! runners; latency is reported for humans, with one deliberately loose
-//! exception — the per-class p50 may not regress beyond
-//! `LATENCY_REGRESSION_FACTOR`× baseline, a guard against
-//! order-of-magnitude slowdowns counters cannot see. Each dataset block
-//! also records the
+//! runners. Each dataset block also records the
 //! parameters the engine actually *resolved* for it — the Sakoe-Chiba
 //! band radius per query length and the clamped sketch width — so a
 //! baseline is self-describing rather than an echo of the CLI flags.
@@ -39,7 +31,6 @@ use crate::json::Json;
 use onex_core::{Explorer, MatchMode, QueryOptions, QueryRequest, QueryStats};
 use onex_ts::synth::PaperDataset;
 use std::path::Path;
-use std::time::Instant;
 
 /// The datasets the baseline records: small + mid-sized keeps the CI
 /// smoke fast while still exercising multi-length bases, and
@@ -62,39 +53,14 @@ const REGRESSION_FACTOR: f64 = 2.0;
 /// O(len) tiers without changing any result-level counter.
 const PAA_RATE_FLOOR: f64 = 0.5;
 
-/// Wall-clock guardrail: a fresh run's per-class p50 latency (`cascade`
-/// variant) may not exceed this multiple of the baseline's. Latency on
-/// shared runners is noisy, so the factor is deliberately loose — the
-/// exact counters above remain the primary gate; this only catches
-/// order-of-magnitude slowdowns invisible to counters (e.g. an index
-/// probe gone accidentally quadratic).
-const LATENCY_REGRESSION_FACTOR: f64 = 3.0;
-
 /// The query classes the `--check-against` gate compares. Best-match was
 /// the original gate; top-k joined once its k-th-best cutoff pruning
 /// became part of the contract worth defending.
 const GATED_CLASSES: [&str; 3] = ["best_match_exact", "best_match_any", "top_k_10_exact"];
 
-/// Client-thread counts the serving bench drives one shared `Explorer`
-/// with (every client issues sequential-scan queries; parallelism comes
-/// from concurrency across queries, the interactive-exploration serving
-/// shape).
-const SERVING_CLIENTS: [usize; 2] = [1, 4];
-
-/// Serving throughput gate: within one fresh run, the multi-client qps on
-/// the gate dataset must reach this multiple of the same run's
-/// single-client qps. Self-relative — both sides come from the same
-/// process on the same machine — so cross-machine noise cannot trip it;
-/// it is skipped (with a notice) when the machine has fewer than 2 cores.
-const SERVING_SPEEDUP_FLOOR: f64 = 1.5;
-
-/// The dataset the serving speedup gate reads (mid-sized: large enough
-/// for per-query work to dominate scheduling overhead).
-const SERVING_GATE_DATASET: PaperDataset = PaperDataset::Ecg;
-
 /// One (class, variant) cell: counters summed over all queries (via
-/// [`QueryStats::absorb`], the same roll-up the batch path uses), latency
-/// averaged plus the p50 the wall-clock gate compares.
+/// [`QueryStats::absorb`], the same roll-up the batch path uses), plus the
+/// informational average and p50 latency.
 #[derive(Default, Clone, Copy)]
 struct Cell {
     queries: usize,
@@ -229,140 +195,6 @@ const CLASSES: [&str; 4] = [
     "range_verified_exact",
 ];
 
-/// One `serve_class` run: wall clock, merged per-query latencies, and the
-/// two degradation tallies the robustness layer can raise — queries shed
-/// by admission control ([`onex_core::OnexError::Overloaded`]) and
-/// answers that lost their parallel fast path (`stats.degraded`). Both
-/// are 0 in a healthy bench run; the baseline records them so a serving
-/// regression that starts shedding is visible, not silent.
-struct ServeRun {
-    elapsed: f64,
-    latencies: Vec<f64>,
-    shed: usize,
-    degraded: usize,
-}
-
-/// Drives one shared explorer from `clients` threads, each issuing
-/// `ops_per_client` queries of `class` round-robin over the query mix
-/// (offset by client index so concurrent clients do not march in
-/// lockstep). Shed queries (admission control) count toward `shed`
-/// rather than panicking the bench; any other error still does.
-fn serve_class(
-    explorer: &Explorer,
-    queries: &[Query],
-    class: &str,
-    clients: usize,
-    ops_per_client: usize,
-) -> ServeRun {
-    let t0 = Instant::now();
-    let per_client: Vec<(Vec<f64>, usize, usize)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut latencies = Vec::with_capacity(ops_per_client);
-                    let (mut shed, mut degraded) = (0, 0);
-                    for i in 0..ops_per_client {
-                        let q = &queries[(c + i) % queries.len()];
-                        let req = request(class, q, QueryOptions::default());
-                        let t = Instant::now();
-                        match explorer.query(req) {
-                            Ok(resp) => {
-                                latencies.push(t.elapsed().as_secs_f64());
-                                degraded += resp.stats.degraded as usize;
-                            }
-                            Err(onex_core::OnexError::Overloaded { .. }) => shed += 1,
-                            Err(e) => panic!("serving query failed: {e}"),
-                        }
-                    }
-                    (latencies, shed, degraded)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("serving client thread"))
-            .collect()
-    });
-    let elapsed = t0.elapsed().as_secs_f64();
-    let mut run = ServeRun {
-        elapsed,
-        latencies: Vec::new(),
-        shed: 0,
-        degraded: 0,
-    };
-    for (lat, shed, degraded) in per_client {
-        run.latencies.extend(lat);
-        run.shed += shed;
-        run.degraded += degraded;
-    }
-    run
-}
-
-/// The serving section of one dataset block: for every query class and
-/// every [`SERVING_CLIENTS`] count, throughput (qps) and p50/p95/p99
-/// latency of N client threads hammering the one shared explorer.
-fn serve_dataset(explorer: &Explorer, queries: &[Query], ctx: &Ctx, ds: PaperDataset) -> Json {
-    let ops_per_client = queries.len() * ctx.runs.max(1);
-    let widths = [22, 8, 8, 10, 11, 11, 11];
-    let mut table = harness::Table::new(
-        &format!("serving_{}", ds.name()),
-        &["class", "clients", "ops", "qps", "p50", "p95", "p99"],
-        &widths,
-    );
-    let mut class_objs = Vec::new();
-    for class in CLASSES {
-        let mut client_objs = Vec::new();
-        for &clients in &SERVING_CLIENTS {
-            let run = serve_class(explorer, queries, class, clients, ops_per_client);
-            let ops = run.latencies.len();
-            let qps = if run.elapsed > 0.0 {
-                ops as f64 / run.elapsed
-            } else {
-                0.0
-            };
-            let (p50, p95, p99) = (
-                harness::percentile(&run.latencies, 50.0),
-                harness::percentile(&run.latencies, 95.0),
-                harness::percentile(&run.latencies, 99.0),
-            );
-            table.row(vec![
-                class.to_string(),
-                format!("{clients}"),
-                format!("{ops}"),
-                format!("{qps:.0}"),
-                fmt_secs(p50),
-                fmt_secs(p95),
-                fmt_secs(p99),
-            ]);
-            client_objs.push(Json::obj(vec![
-                ("clients", Json::num(clients)),
-                ("ops", Json::num(ops)),
-                ("qps", Json::Num((qps * 100.0).round() / 100.0)),
-                (
-                    "p50_latency_us",
-                    Json::Num((p50 * 1e6 * 100.0).round() / 100.0),
-                ),
-                (
-                    "p95_latency_us",
-                    Json::Num((p95 * 1e6 * 100.0).round() / 100.0),
-                ),
-                (
-                    "p99_latency_us",
-                    Json::Num((p99 * 1e6 * 100.0).round() / 100.0),
-                ),
-                ("shed", Json::num(run.shed)),
-                ("degraded", Json::num(run.degraded)),
-            ]));
-        }
-        class_objs.push(Json::obj(vec![
-            ("class", Json::str(class)),
-            ("clients", Json::Arr(client_objs)),
-        ]));
-    }
-    table.finish(ctx.csv());
-    Json::Arr(class_objs)
-}
-
 fn measure_dataset(ds: PaperDataset, ctx: &Ctx) -> Json {
     let data = ds.generate_scaled(ctx.scale, ctx.seed);
     let (base, build_time) = build_timed(&data, ctx.config());
@@ -435,11 +267,6 @@ fn measure_dataset(ds: PaperDataset, ctx: &Ctx) -> Json {
         ]));
     }
     table.finish(ctx.csv());
-    println!("\n  serving ({} clients on one explorer):", {
-        let counts: Vec<String> = SERVING_CLIENTS.iter().map(|c| c.to_string()).collect();
-        counts.join("/")
-    });
-    let serving = serve_dataset(&explorer, &queries, ctx, ds);
     // The parameters the engine actually *resolved* for this dataset —
     // not the CLI-level config echo. Each distinct query length gets its
     // concrete Sakoe-Chiba band radius (`Window::resolve(len, len)`, the
@@ -470,7 +297,6 @@ fn measure_dataset(ds: PaperDataset, ctx: &Ctx) -> Json {
         ("paa_width", Json::num(config.paa_width)),
         ("resolved_query_params", Json::Arr(resolved)),
         ("classes", Json::Arr(class_objs)),
-        ("serving", serving),
     ])
 }
 
@@ -478,23 +304,17 @@ fn measure_dataset(ds: PaperDataset, ctx: &Ctx) -> Json {
 /// `ctx.check_against` names a checked-in baseline, compares against it.
 /// Returns `false` when the regression check fails.
 pub fn run(ctx: &Ctx) -> bool {
-    println!(
-        "\n== Perf baseline (counters are exact; latency informational, p50 loosely gated) =="
-    );
+    println!("\n== Perf baseline (counters are exact and gated; latency informational) ==");
     let mut datasets = Vec::new();
     for ds in DATASETS {
         datasets.push(measure_dataset(ds, ctx));
     }
     let config = ctx.config();
-    let cores = std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1);
     let doc = Json::obj(vec![
         ("version", Json::num(3)),
         ("scale", Json::Num(ctx.scale)),
         ("seed", Json::num(ctx.seed as usize)),
         ("runs", Json::num(ctx.runs)),
-        ("cores", Json::num(cores)),
         ("window", Json::Str(format!("{:?}", config.window))),
         ("st", Json::Num(config.st)),
         ("datasets", Json::Arr(datasets)),
@@ -552,15 +372,15 @@ fn gate_leq(label: &str, fresh: f64, baseline: f64, factor: f64) -> bool {
 
 /// The CI regression gate over every [`GATED_CLASSES`] entry under the
 /// default cascade: DTW evaluations and member evaluations must not
-/// exceed [`REGRESSION_FACTOR`] × the checked-in baseline, the tier-0
+/// exceed [`REGRESSION_FACTOR`] × the checked-in baseline and the tier-0
 /// (PAA sketch) prune rate must retain at least [`PAA_RATE_FLOOR`] of the
-/// baseline's, and the per-class p50 wall-clock latency must stay within
-/// `LATENCY_REGRESSION_FACTOR` × baseline. On top of the comparisons,
+/// baseline's. On top of the comparisons,
 /// the fresh run itself must show `groups_skipped_by_index > 0` on every
 /// dataset — proof the symbolic index engaged rather than silently
-/// degrading to a full-scan no-op. Counter gates are exact and immune to
-/// shared-runner noise; fields absent from an older baseline are skipped
-/// with a notice.
+/// degrading to a full-scan no-op. Every gate is a counter: exact and
+/// immune to shared-runner noise. Fields absent from an older baseline
+/// are skipped with a notice; sections of it this experiment no longer
+/// writes (latency gates, `serving`, `cores`) are not read.
 fn check_against(fresh: &Json, baseline_path: &Path) -> bool {
     let text = match std::fs::read_to_string(baseline_path) {
         Ok(t) => t,
@@ -635,18 +455,6 @@ fn check_against(fresh: &Json, baseline_path: &Path) -> bool {
                 }
                 _ => println!("    paa_prune_rate: not in baseline — skipped"),
             }
-            // Wall-clock p50: a deliberately loose guard (latency on
-            // shared runners is noisy; counters remain the primary gate)
-            // that still catches order-of-magnitude slowdowns.
-            match (
-                field(fresh_cell, "p50_latency_us"),
-                field(base_cell, "p50_latency_us"),
-            ) {
-                (Some(f), Some(b)) => {
-                    ok &= gate_leq("p50_latency_us", f, b, LATENCY_REGRESSION_FACTOR)
-                }
-                _ => println!("    p50_latency_us: not in baseline — skipped"),
-            }
         }
     }
     // Index engagement: every dataset's cascade cells, summed over all
@@ -668,59 +476,6 @@ fn check_against(fresh: &Json, baseline_path: &Path) -> bool {
         );
         ok &= good;
     }
-    // Serving throughput: self-relative within the fresh run (the
-    // baseline is never consulted, so recording machines and CI runners
-    // with different core counts cannot conflict) — the multi-client qps
-    // on the gate dataset, ops-weighted across all query classes, must
-    // reach [`SERVING_SPEEDUP_FLOOR`] × the same run's single-client qps.
-    // Skipped with a notice on single-core machines, where there is no
-    // parallelism to measure.
-    let fresh_cores = fresh.get("cores").and_then(Json::as_f64).unwrap_or(1.0);
-    let gate_ds = SERVING_GATE_DATASET.name();
-    if fresh_cores < 2.0 {
-        println!("  serving speedup: skipped ({fresh_cores} core(s) — no parallelism to measure)");
-    } else {
-        // Aggregate qps per client count: total ops over total seconds,
-        // with per-cell seconds recovered as ops/qps.
-        let qps_at = |clients: usize| -> Option<f64> {
-            let serving = fresh
-                .get("datasets")?
-                .as_arr()?
-                .iter()
-                .find(|d| d.get("name").and_then(Json::as_str) == Some(gate_ds))?
-                .get("serving")?
-                .as_arr()?;
-            let mut ops = 0.0;
-            let mut secs = 0.0;
-            for class in serving {
-                let cell =
-                    class.get("clients")?.as_arr()?.iter().find(|c| {
-                        c.get("clients").and_then(Json::as_f64) == Some(clients as f64)
-                    })?;
-                let o = cell.get("ops").and_then(Json::as_f64)?;
-                let q = cell.get("qps").and_then(Json::as_f64)?;
-                if q > 0.0 {
-                    ops += o;
-                    secs += o / q;
-                }
-            }
-            (secs > 0.0).then(|| ops / secs)
-        };
-        let multi = SERVING_CLIENTS[SERVING_CLIENTS.len() - 1];
-        match (qps_at(1), qps_at(multi)) {
-            (Some(q1), Some(qn)) => {
-                let speedup = qn / q1;
-                let good = speedup >= SERVING_SPEEDUP_FLOOR;
-                println!(
-                    "  serving speedup ({gate_ds}, {multi} vs 1 clients): {qn:.0} / {q1:.0} qps \
-                     = {speedup:.2}x (floor {SERVING_SPEEDUP_FLOOR}x) {}",
-                    if good { "ok" } else { "FAIL" }
-                );
-                ok &= good;
-            }
-            _ => println!("  serving speedup: serving section missing from fresh run — skipped"),
-        }
-    }
     if compared == 0 {
         eprintln!("perf check: nothing compared — baseline format mismatch?");
         return false;
@@ -728,10 +483,8 @@ fn check_against(fresh: &Json, baseline_path: &Path) -> bool {
     if !ok {
         eprintln!(
             "perf check FAILED: gated counters regressed beyond {REGRESSION_FACTOR}x, the \
-             tier-0 prune rate fell below {PAA_RATE_FLOOR} of baseline, a query class's p50 \
-             latency regressed beyond {LATENCY_REGRESSION_FACTOR}x, the symbolic index \
-             certified zero skips on some dataset, or multi-client serving throughput fell \
-             below {SERVING_SPEEDUP_FLOOR}x single-client"
+             tier-0 prune rate fell below {PAA_RATE_FLOOR} of baseline, or the symbolic index \
+             certified zero skips on some dataset"
         );
     }
     ok

@@ -105,21 +105,6 @@ pub fn p50(xs: &[f64]) -> f64 {
     }
 }
 
-/// Linearly-interpolated percentile (`p` in `[0, 100]`); 0 for an empty
-/// slice, and `percentile(xs, 50)` agrees with [`p50`]. The serving bench
-/// reports p95/p99 tail latency through this.
-pub fn percentile(xs: &[f64], p: f64) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let rank = (p.clamp(0.0, 100.0) / 100.0) * (sorted.len() - 1) as f64;
-    let lo = rank.floor() as usize;
-    let hi = rank.ceil() as usize;
-    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
-}
-
 /// The paper's accuracy metric (§6.2): per-query error is the difference
 /// between the system's solution distance (normalized DTW to the query) and
 /// the exact brute-force solution distance; accuracy is
@@ -287,21 +272,5 @@ mod tests {
         assert_eq!(p50(&[5.0]), 5.0);
         assert_eq!(p50(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(p50(&[4.0, 1.0, 3.0, 2.0]), 2.5);
-    }
-
-    #[test]
-    fn percentiles() {
-        assert_eq!(percentile(&[], 99.0), 0.0);
-        assert_eq!(percentile(&[5.0], 99.0), 5.0);
-        let xs: Vec<f64> = (1..=100).map(|i| i as f64).collect();
-        assert_eq!(percentile(&xs, 0.0), 1.0);
-        assert_eq!(percentile(&xs, 100.0), 100.0);
-        assert!((percentile(&xs, 95.0) - 95.05).abs() < 1e-9);
-        assert!((percentile(&xs, 99.0) - 99.01).abs() < 1e-9);
-        // agrees with the midpoint-interpolated median
-        assert_eq!(
-            percentile(&[4.0, 1.0, 3.0, 2.0], 50.0),
-            p50(&[4.0, 1.0, 3.0, 2.0])
-        );
     }
 }

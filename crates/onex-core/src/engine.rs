@@ -16,9 +16,10 @@
 //!
 //! `Explorer` is `Send + Sync` and all methods take `&self`: clone the
 //! explorer (cheap — clones share the same live base) or share one
-//! instance across any number of threads. Per-query scratch (the DTW
-//! buffer) lives in a thread-local pool, so concurrent queries neither
-//! contend nor allocate on the hot path.
+//! instance across any number of threads. Per-query scratch (DTW rows,
+//! the query's envelope and sketches, the index mask) is one thread-local
+//! search context, so concurrent queries neither contend nor allocate to
+//! set up or to evaluate a candidate.
 //!
 //! The base itself is held behind an epoch-stamped slot. Every query
 //! *pins* the current `(base, epoch)` pair — an `Arc` clone under a lock
@@ -74,7 +75,7 @@ use crate::symindex::NavNode;
 use crate::{fault, maintain, refine, snapshot, wal};
 use crate::{GroupId, Match, MatchMode, OnexBase, OnexConfig, OnexError, Result, SeasonalResult};
 use crate::{SimilarityDegree, ThresholdRange};
-use onex_dist::{DtwBuffer, Window};
+use onex_dist::Window;
 use onex_ts::{Dataset, Decomposition, TimeSeries};
 use std::cell::RefCell;
 use std::path::Path;
@@ -83,9 +84,10 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 thread_local! {
-    /// Per-thread DTW scratch buffer: queries from `&self` stay
-    /// allocation-free on the hot path without any cross-thread state.
-    static SCRATCH: RefCell<DtwBuffer> = RefCell::new(DtwBuffer::new());
+    /// Per-thread search scratch — DTW rows, query envelope and sketch,
+    /// suffix array, index mask: queries from `&self` set up and run
+    /// allocation-free without any cross-thread state.
+    static SCRATCH: RefCell<SearchCtx> = RefCell::new(SearchCtx::default());
 }
 
 /// Work-stealing fan-out over scoped threads: runs `work(state, i)` for
@@ -1307,10 +1309,12 @@ where
 {
     let params = options.resolve(base.config());
     SCRATCH.with(|cell| {
-        let mut ctx = SearchCtx {
-            buf: cell.take(),
-            ..SearchCtx::default()
-        };
+        // Taken out rather than borrowed: a body that panics mid-scan
+        // leaves a fresh context behind, not half-updated scratch.
+        let mut ctx = cell.take();
+        // Reset here, not only inside the search: a request rejected before
+        // it starts must not be stamped with the previous query's counters.
+        ctx.begin();
         let outcome = body(base, &params, &mut ctx);
         let stats = QueryStats::from_search(
             ctx.stats,
@@ -1319,7 +1323,7 @@ where
             started.elapsed(),
             epoch,
         );
-        cell.replace(ctx.buf);
+        cell.replace(ctx);
         outcome.map(|result| QueryResponse { result, stats })
     })
 }
@@ -1899,6 +1903,68 @@ mod tests {
             .unwrap();
         // A tighter band can only raise (or keep) the optimal distance.
         assert!(narrow.raw_dtw + 1e-12 >= wide.raw_dtw);
+    }
+
+    #[test]
+    fn oversized_band_answers_as_unconstrained() {
+        // `Band(usize::MAX)` used to overflow `i + r` inside the kernel: a
+        // panic in this (debug) build, ∞ for every pair in release.
+        let huge = Window::Band(usize::MAX);
+        let d = synth::sine_mix(8, 24, 2, 11);
+        let built = |window| ExplorerBuilder::new().window(window).build(&d).unwrap();
+        let (e_huge, e_unc) = (built(huge), built(Window::Unconstrained));
+        let e = explorer();
+        let q = e.base().dataset().series()[1].values()[3..15].to_vec();
+        let with = |window| QueryOptions {
+            window: Some(window),
+            query_threads: Some(1),
+            ..Default::default()
+        };
+        let requests = |options: QueryOptions| {
+            [
+                QueryRequest::BestMatch {
+                    values: q.clone(),
+                    mode: MatchMode::Any,
+                    options,
+                },
+                QueryRequest::TopK {
+                    values: q.clone(),
+                    mode: MatchMode::Exact(12),
+                    k: 5,
+                    options,
+                },
+                QueryRequest::WithinThreshold {
+                    values: q.clone(),
+                    mode: MatchMode::Exact(12),
+                    verify: true,
+                    options,
+                },
+            ]
+        };
+        let same = |got: QueryResponse, want: QueryResponse| {
+            assert_eq!(format!("{:?}", got.result), format!("{:?}", want.result));
+            assert_eq!(
+                QueryStats {
+                    elapsed: want.stats.elapsed,
+                    ..got.stats
+                },
+                want.stats
+            );
+        };
+        for (a, b) in requests(with(huge))
+            .into_iter()
+            .zip(requests(with(Window::Unconstrained)))
+        {
+            same(e.query(a).unwrap(), e.query(b).unwrap());
+        }
+        for req in requests(QueryOptions {
+            query_threads: Some(1),
+            ..Default::default()
+        }) {
+            let got = e_huge.query(req.clone()).unwrap();
+            assert!(got.stats.dtw_evals > 0);
+            same(got, e_unc.query(req).unwrap());
+        }
     }
 
     #[test]

@@ -9,11 +9,12 @@
 //! walking the ED-sorted member list outward from the predicted position.
 //!
 //! The search core is a set of free functions over [`SearchParams`] (what
-//! to do) and a [`SearchCtx`] (per-call scratch: the DTW buffer and the
-//! instrumentation counters). Nothing is borrowed mutably from the base, so
-//! any number of threads can search one base concurrently, each with its
-//! own context — this is what [`crate::engine::Explorer`] builds on. The
-//! legacy [`SimilarityQuery`] wrapper owns one context and forwards.
+//! to do) and a [`SearchCtx`] (per-call scratch: the DTW buffer, the
+//! query-side envelope state and the instrumentation counters). Nothing is
+//! borrowed mutably from the base, so any number of threads can search one
+//! base concurrently, each with its own context — this is what
+//! [`crate::engine::Explorer`] builds on. The legacy [`SimilarityQuery`]
+//! wrapper owns one context and forwards.
 //!
 //! ## The cascaded lower-bound pipeline
 //!
@@ -60,7 +61,8 @@ use crate::symindex::SymIndex;
 use crate::{GroupId, OnexBase, OnexConfig, OnexError, Result};
 use onex_dist::{
     lb_keogh, lb_keogh_cumulative_into, lb_keogh_sq_abandon, lb_kim_fl, lb_paa_env_sq,
-    paa_envelope_into, paa_into, paa_segment_weights, DtwBuffer, Envelope, EnvelopeRef, Window,
+    paa_envelope_into, paa_into, paa_segment_weights_into, DtwBuffer, Envelope, EnvelopeRef,
+    EnvelopeScratch, Window,
 };
 use onex_ts::SubseqRef;
 use std::time::Instant;
@@ -258,15 +260,19 @@ impl SearchParams {
 /// candidates of the query's own length, so one search resolves exactly
 /// one band radius and a single slot suffices; the build cost amortizes
 /// across every group and member evaluated at that length. The slot
-/// rebuilds defensively if a different radius is ever requested.
+/// rebuilds defensively if a different radius is ever requested — always
+/// in place, so once its buffers have grown to the longest query a thread
+/// has seen, setting up a query allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct QueryEnvelopeCache {
-    entry: Option<QueryEnvelope>,
+    /// Whether `entry` describes the query in flight.
+    live: bool,
+    entry: QueryEnvelope,
+    scratch: EnvelopeScratch,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct QueryEnvelope {
-    radius: usize,
     env: Envelope,
     order: Vec<usize>,
     /// The query's PAA sketch, width `min(paa_width, q.len())`.
@@ -280,48 +286,47 @@ struct QueryEnvelope {
 }
 
 impl QueryEnvelopeCache {
-    /// Drops the previous query's entry.
+    /// Invalidates the previous query's entry, keeping its buffers.
     fn begin(&mut self) {
-        self.entry = None;
+        self.live = false;
     }
 
     /// The entry for `radius`, building it on first request. `paa_width`
     /// is the base's configured sketch width (clamped here to the query
     /// length, matching the slab-side clamp for equal-length candidates).
     fn entry(&mut self, q: &[f64], radius: usize, paa_width: usize) -> &QueryEnvelope {
-        if self.entry.as_ref().is_none_or(|e| e.radius != radius) {
-            let env = Envelope::build(q, radius);
+        if !self.live || self.entry.env.radius != radius {
+            let QueryEnvelope {
+                env,
+                order,
+                paa,
+                paa_env_hi,
+                paa_env_lo,
+                weights,
+            } = &mut self.entry;
+            env.rebuild(q, radius, &mut self.scratch);
             let mean = q.iter().sum::<f64>() / q.len().max(1) as f64;
-            let mut order: Vec<usize> = (0..q.len()).collect();
+            order.clear();
+            order.extend(0..q.len());
             order.sort_unstable_by(|&a, &b| {
                 let da = (q[a] - mean).abs();
                 let db = (q[b] - mean).abs();
                 db.total_cmp(&da)
             });
             let w = paa_width.clamp(1, q.len().max(1));
-            let mut paa = Vec::with_capacity(w);
-            paa_into(q, w, &mut paa);
-            let (mut hi, mut lo) = (Vec::with_capacity(w), Vec::with_capacity(w));
-            paa_envelope_into(&env.upper, &env.lower, w, &mut hi, &mut lo);
-            self.entry = Some(QueryEnvelope {
-                radius,
-                env,
-                order,
-                paa,
-                paa_env_hi: hi,
-                paa_env_lo: lo,
-                weights: paa_segment_weights(q.len().max(1), w),
-            });
+            paa_into(q, w, paa);
+            paa_envelope_into(&env.upper, &env.lower, w, paa_env_hi, paa_env_lo);
+            paa_segment_weights_into(q.len().max(1), w, weights);
+            self.live = true;
         }
-        // The branch above just stored Some(..) when the entry was absent.
-        // audit:allow(no-panic-in-lib): infallible, see above
-        self.entry.as_ref().expect("just built")
+        &self.entry
     }
 }
 
-/// Per-call scratch state: the DTW buffer (so repeated queries allocate
-/// nothing) and the counters for the query in flight. One context per
-/// thread of execution; contexts are never shared.
+/// Per-call scratch state: every buffer a search needs (so a thread's
+/// repeated queries allocate nothing to set up) and the counters for the
+/// query in flight. One context per thread of execution — the engine keeps
+/// its own in a thread-local — and contexts are never shared.
 #[derive(Debug, Default)]
 pub(crate) struct SearchCtx {
     /// DTW scratch rows, reused across evaluations.

@@ -6,10 +6,12 @@
 //! the distance is the square root of the DP value. Def. 6 normalizes by the
 //! maximum path length: `DTW̄ = DTW / 2n` with `n` the longer series.
 //!
-//! Three execution strategies share one banded kernel:
-//! * [`dtw`] — O(n·m) time, O(m) space (two rolling rows),
+//! Three execution strategies share the recurrence:
+//! * [`dtw`] — O(n·r) time for band half-width `r`, O(r) row space (two
+//!   rolling rows in band coordinates, see [`DtwBuffer`]),
 //! * [`dtw_early_abandon`] — row-minimum abandoning against a caller cutoff
 //!   (the "early abandoning of DTW" optimization of §5.3 / the UCR suite),
+//!   on the same rolling rows,
 //! * [`dtw_with_path`] — full matrix + backtracking when the alignment itself
 //!   is needed (visualization, diagnostics).
 //!
@@ -21,12 +23,35 @@ use crate::Window;
 /// Reusable scratch space for rolling-row DTW evaluations.
 ///
 /// The ONEX query processor evaluates DTW against many representatives per
-/// query; owning one buffer per processor avoids two heap allocations per
+/// query; owning one buffer per processor avoids three heap allocations per
 /// candidate (see the perf-book guidance on reusing workhorse collections).
+///
+/// Rows are stored in **band coordinates**: row `i` holds the cells of
+/// columns `j = i−r … i+r` at `k = j − (i−r)`, so every row is the same
+/// `w = 2r+1` cells plus one `∞` sentinel, whatever the candidate length.
+/// The cell above `(i, j)` is then `prev[k+1]`, the diagonal one `prev[k]`,
+/// and the one to the left is the value the loop just produced.
 #[derive(Debug, Default, Clone)]
 pub struct DtwBuffer {
     prev: Vec<f64>,
     curr: Vec<f64>,
+    /// `y` with `r` leading and `n + r − m` trailing `∞`: row `i` reads its
+    /// `w` column values as one contiguous window, and a column outside
+    /// the matrix costs `(xᵢ − ∞)² = ∞` without a branch.
+    y_pad: Vec<f64>,
+}
+
+/// The smaller of two DP values as a single `minsd`. `f64::min` pays for
+/// NaN handling the DP never needs: every cell is `d² + best`, so finite
+/// and non-negative or `+∞`, never NaN and never `−0` — on which the two
+/// agree bit for bit.
+#[inline(always)]
+fn min2(a: f64, b: f64) -> f64 {
+    if a < b {
+        a
+    } else {
+        b
+    }
 }
 
 impl DtwBuffer {
@@ -35,20 +60,13 @@ impl DtwBuffer {
         Self::default()
     }
 
-    fn reset(&mut self, m: usize) {
-        self.prev.clear();
-        self.prev.resize(m + 1, f64::INFINITY);
-        self.curr.clear();
-        self.curr.resize(m + 1, f64::INFINITY);
-    }
-
     /// DTW distance between `x` and `y` under `window`.
     ///
     /// Returns 0 when both inputs are empty and ∞ when exactly one is (no
     /// warping path exists).
     pub fn dist(&mut self, x: &[f64], y: &[f64], window: Window) -> f64 {
-        self.dist_impl(x, y, window, f64::INFINITY)
-            // dist_impl returns None only when a row exceeds the cutoff,
+        self.dist_full(x, y, window, f64::INFINITY, None)
+            // dist_full returns None only when a row exceeds the cutoff,
             // which an infinite cutoff can never trigger.
             // audit:allow(no-panic-in-lib): infallible, see above
             .expect("infinite cutoff never abandons")
@@ -65,7 +83,7 @@ impl DtwBuffer {
         window: Window,
         cutoff: f64,
     ) -> Option<f64> {
-        self.dist_impl(x, y, window, cutoff)
+        self.dist_full(x, y, window, cutoff, None)
     }
 
     /// Early-abandoning DTW augmented with a per-row *suffix* lower bound in
@@ -92,10 +110,12 @@ impl DtwBuffer {
         self.dist_full(x, y, window, cutoff, Some(suffix_sq))
     }
 
-    fn dist_impl(&mut self, x: &[f64], y: &[f64], window: Window, cutoff: f64) -> Option<f64> {
-        self.dist_full(x, y, window, cutoff, None)
-    }
-
+    /// The one rolling-row kernel. Every cell is the same
+    /// `d² + min(up, diag, left)` the textbook recurrence computes, over
+    /// the same in-band neighbours (anything outside the band or the
+    /// matrix reads as `∞`), so values, abandon decisions and the result
+    /// are bit-identical to the `(m+1)`-wide formulation kept as
+    /// `reference_dist` under `cfg(test)`.
     fn dist_full(
         &mut self,
         x: &[f64],
@@ -106,47 +126,51 @@ impl DtwBuffer {
     ) -> Option<f64> {
         let n = x.len();
         let m = y.len();
-        if n == 0 && m == 0 {
-            return Some(0.0);
-        }
         if n == 0 || m == 0 {
-            return Some(f64::INFINITY);
+            return Some(if n == m { 0.0 } else { f64::INFINITY });
         }
+        // |n − m| ≤ r ≤ max(n, m): the corner stays reachable and the
+        // row width below cannot overflow.
         let r = window.resolve(n, m);
+        let w = 2 * r + 1;
         let cutoff_sq = if cutoff.is_finite() {
             cutoff * cutoff
         } else {
             f64::INFINITY
         };
-        self.reset(m);
-        self.prev[0] = 0.0;
-        for i in 1..=n {
-            let jlo = i.saturating_sub(r).max(1);
-            let jhi = (i + r).min(m);
-            // The band shifts by at most one cell per row; clearing its two
-            // fringe cells keeps stale values from leaking into the min().
-            self.curr[jlo - 1] = f64::INFINITY;
-            if jhi < m {
-                self.curr[jhi + 1] = f64::INFINITY;
-            }
-            let xi = x[i - 1];
+        self.y_pad.clear();
+        self.y_pad.resize(r, f64::INFINITY);
+        self.y_pad.extend_from_slice(y);
+        self.y_pad.resize(n + 2 * r, f64::INFINITY);
+        for row in [&mut self.prev, &mut self.curr] {
+            row.clear();
+            row.resize(w + 1, f64::INFINITY);
+        }
+        // Row 0 is the origin cell alone, at column 0 = band slot r.
+        self.prev[r] = 0.0;
+        for (i, &xi) in x.iter().enumerate() {
+            // Sliced once per row to exactly the extents the loop indexes,
+            // so the loop body carries no bounds checks. `curr[w]` is never
+            // written: it is the ∞ the next row reads above its last cell.
+            let ys = &self.y_pad[i..i + w];
+            let prev = &self.prev[..w + 1];
+            let curr = &mut self.curr[..w];
+            let mut left = f64::INFINITY;
             let mut row_min = f64::INFINITY;
-            for j in jlo..=jhi {
-                let d = xi - y[j - 1];
-                let best = self.prev[j].min(self.curr[j - 1]).min(self.prev[j - 1]);
-                let cell = d * d + best;
-                self.curr[j] = cell;
-                if cell < row_min {
-                    row_min = cell;
-                }
+            for k in 0..w {
+                let d = xi - ys[k];
+                left = d * d + min2(min2(prev[k + 1], prev[k]), left);
+                curr[k] = left;
+                row_min = min2(row_min, left);
             }
-            let rest = suffix_sq.map_or(0.0, |s| s[i]);
+            let rest = suffix_sq.map_or(0.0, |s| s[i + 1]);
             if row_min + rest > cutoff_sq {
                 return None;
             }
             std::mem::swap(&mut self.prev, &mut self.curr);
         }
-        Some(self.prev[m].sqrt())
+        // Cell (n, m) sits at band slot m − (n − r).
+        Some(self.prev[m + r - n].sqrt())
     }
 }
 
@@ -219,8 +243,158 @@ pub fn dtw_with_path(x: &[f64], y: &[f64], window: Window) -> (f64, Vec<(usize, 
 mod tests {
     use super::*;
     use crate::ed;
+    use proptest::prelude::*;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
 
     const UNC: Window = Window::Unconstrained;
+
+    /// The kernel this module shipped before the band-coordinate one —
+    /// rows `m + 1` wide in matrix coordinates, NaN-aware `f64::min`, a
+    /// branching row minimum — kept verbatim as the differential oracle.
+    fn reference_dist(
+        x: &[f64],
+        y: &[f64],
+        window: Window,
+        cutoff: f64,
+        suffix_sq: Option<&[f64]>,
+    ) -> Option<f64> {
+        let n = x.len();
+        let m = y.len();
+        if n == 0 && m == 0 {
+            return Some(0.0);
+        }
+        if n == 0 || m == 0 {
+            return Some(f64::INFINITY);
+        }
+        let r = window.resolve(n, m);
+        let cutoff_sq = if cutoff.is_finite() {
+            cutoff * cutoff
+        } else {
+            f64::INFINITY
+        };
+        let mut prev = vec![f64::INFINITY; m + 1];
+        let mut curr = vec![f64::INFINITY; m + 1];
+        prev[0] = 0.0;
+        for i in 1..=n {
+            let jlo = i.saturating_sub(r).max(1);
+            let jhi = (i + r).min(m);
+            // The band shifts by at most one cell per row; clearing its two
+            // fringe cells keeps stale values from leaking into the min().
+            curr[jlo - 1] = f64::INFINITY;
+            if jhi < m {
+                curr[jhi + 1] = f64::INFINITY;
+            }
+            let xi = x[i - 1];
+            let mut row_min = f64::INFINITY;
+            for j in jlo..=jhi {
+                let d = xi - y[j - 1];
+                let best = prev[j].min(curr[j - 1]).min(prev[j - 1]);
+                let cell = d * d + best;
+                curr[j] = cell;
+                if cell < row_min {
+                    row_min = cell;
+                }
+            }
+            let rest = suffix_sq.map_or(0.0, |s| s[i]);
+            if row_min + rest > cutoff_sq {
+                return None;
+            }
+            std::mem::swap(&mut prev, &mut curr);
+        }
+        Some(prev[m].sqrt())
+    }
+
+    fn bits(d: Option<f64>) -> Option<u64> {
+        d.map(f64::to_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One buffer, reused across both orientations of the pair, every
+        /// `Window` variant and every cutoff, must agree with the reference
+        /// on abandon-or-not and on every bit of a returned distance.
+        #[test]
+        fn kernel_is_bit_identical_to_reference(
+            n in 1..=48usize, m in 1..=48usize, equal in any::<bool>(), seed in any::<u64>(),
+        ) {
+            let m = if equal { n } else { m };
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let x: Vec<f64> = (0..n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let y: Vec<f64> = (0..m).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let full = n.max(m);
+            let windows = [
+                UNC,
+                Window::Band(0),
+                Window::Band(rng.gen_range(1..=full)),
+                Window::Band(full + rng.gen_range(0..8usize)),
+                Window::Band(usize::MAX),
+                Window::Ratio(0.1),
+                Window::Ratio(rng.gen_range(0.0..1.0)),
+            ];
+            let mut buf = DtwBuffer::new();
+            for (a, b) in [(&x, &y), (&y, &x)] {
+                for window in windows {
+                    let exact = reference_dist(a, b, window, f64::INFINITY, None)
+                        .expect("infinite cutoff never abandons");
+                    prop_assert_eq!(buf.dist(a, b, window).to_bits(), exact.to_bits());
+                    prop_assert_eq!(dtw_with_path(a, b, window).0.to_bits(), exact.to_bits());
+                    // Any non-increasing array is a legal input; scaled so
+                    // that the suffix term decides some of the abandons.
+                    let mut suffix = vec![0.0; a.len() + 1];
+                    for i in (0..a.len()).rev() {
+                        suffix[i] = suffix[i + 1] + rng.gen_range(0.0..0.1) * exact * exact;
+                    }
+                    let cutoffs = [
+                        f64::INFINITY,
+                        exact,
+                        0.7 * exact,
+                        1.3 * exact,
+                        rng.gen_range(0.0..1.0) * exact,
+                    ];
+                    for cutoff in cutoffs {
+                        let (got, want) = (
+                            bits(buf.dist_early_abandon(a, b, window, cutoff)),
+                            bits(reference_dist(a, b, window, cutoff, None)),
+                        );
+                        prop_assert!(got == want, "{:?} cutoff {}: {:?} vs {:?}", window, cutoff, got, want);
+                        let (got, want) = (
+                            bits(buf.dist_early_abandon_with_suffix(a, b, window, cutoff, &suffix)),
+                            bits(reference_dist(a, b, window, cutoff, Some(&suffix))),
+                        );
+                        prop_assert!(got == want, "{:?} cutoff {} + suffix: {:?} vs {:?}", window, cutoff, got, want);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn oversized_windows_equal_unconstrained() {
+        // Band(usize::MAX) used to overflow `i + r`: a panic in debug
+        // builds, a wrapped band and an ∞ distance in release.
+        let x: Vec<f64> = (0..9).map(|i| (i as f64 * 0.7).sin()).collect();
+        for m in [5, 9] {
+            let y: Vec<f64> = (0..m).map(|i| (i as f64 * 0.9).cos()).collect();
+            let full = dtw(&x, &y, UNC);
+            assert!(full.is_finite());
+            for window in [
+                Window::Band(usize::MAX),
+                Window::Band(usize::MAX / 2),
+                Window::Ratio(f64::INFINITY),
+            ] {
+                assert_eq!(dtw(&x, &y, window).to_bits(), full.to_bits(), "{window:?}");
+                assert_eq!(dtw(&y, &x, window).to_bits(), full.to_bits(), "{window:?}");
+                let (d, path) = dtw_with_path(&x, &y, window);
+                assert_eq!(d.to_bits(), full.to_bits(), "{window:?}");
+                assert_eq!(path, dtw_with_path(&x, &y, UNC).1, "{window:?}");
+            }
+            assert_eq!(
+                dtw(&x, &y, Window::Ratio(f64::NAN)).to_bits(),
+                dtw(&x, &y, Window::Band(0)).to_bits()
+            );
+        }
+    }
 
     #[test]
     fn identical_sequences_have_zero_distance() {

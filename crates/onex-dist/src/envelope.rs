@@ -11,8 +11,9 @@
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Upper/lower warping envelope of a sequence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// Upper/lower warping envelope of a sequence. The default is the envelope
+/// of the empty sequence.
+#[derive(Debug, Default, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Envelope {
     /// Point-wise upper envelope `U`.
     pub upper: Vec<f64>,
@@ -63,6 +64,14 @@ impl<'a> From<&'a Envelope> for EnvelopeRef<'a> {
     }
 }
 
+/// The streaming min/max state of [`Envelope::rebuild`], owned by the
+/// caller so that repeated rebuilds reuse its storage.
+#[derive(Debug, Default, Clone)]
+pub struct EnvelopeScratch {
+    max_q: VecDeque<usize>,
+    min_q: VecDeque<usize>,
+}
+
 impl Envelope {
     /// A borrowed [`EnvelopeRef`] over this envelope.
     #[inline]
@@ -72,19 +81,28 @@ impl Envelope {
 
     /// Builds the envelope of `y` for band half-width `r` in O(n).
     pub fn build(y: &[f64], r: usize) -> Self {
+        let mut env = Envelope {
+            upper: Vec::with_capacity(y.len()),
+            lower: Vec::with_capacity(y.len()),
+            radius: r,
+        };
+        env.rebuild(y, r, &mut EnvelopeScratch::default());
+        env
+    }
+
+    /// [`Envelope::build`] in place: overwrites this envelope with the one
+    /// of `y` at half-width `r`, reusing its planes and the caller's
+    /// `scratch`, so a per-query envelope costs no allocation once both
+    /// have grown to the longest query seen.
+    pub fn rebuild(&mut self, y: &[f64], r: usize, scratch: &mut EnvelopeScratch) {
         let n = y.len();
-        let mut upper = vec![0.0; n];
-        let mut lower = vec![0.0; n];
-        if n == 0 {
-            return Envelope {
-                upper,
-                lower,
-                radius: r,
-            };
-        }
+        self.radius = r;
+        self.upper.clear();
+        self.lower.clear();
         // Monotonic deques over the sliding window [i-r, i+r].
-        let mut max_q: VecDeque<usize> = VecDeque::new();
-        let mut min_q: VecDeque<usize> = VecDeque::new();
+        let EnvelopeScratch { max_q, min_q } = scratch;
+        max_q.clear();
+        min_q.clear();
         // Window end index (exclusive) we have pushed so far.
         let mut pushed = 0;
         for i in 0..n {
@@ -129,14 +147,11 @@ impl Envelope {
             // Index i itself was pushed this iteration and survives the
             // eviction passes, so both deques hold at least one element.
             // audit:allow(no-panic-in-lib): infallible, see above
-            upper[i] = y[*max_q.front().expect("window never empty")];
+            let max_at = *max_q.front().expect("window never empty");
             // audit:allow(no-panic-in-lib): infallible, see above
-            lower[i] = y[*min_q.front().expect("window never empty")];
-        }
-        Envelope {
-            upper,
-            lower,
-            radius: r,
+            let min_at = *min_q.front().expect("window never empty");
+            self.upper.push(y[max_at]);
+            self.lower.push(y[min_at]);
         }
     }
 

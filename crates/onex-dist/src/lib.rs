@@ -31,6 +31,31 @@
 //! sequences of different lengths the effective band is widened to at least
 //! `|n − m|`, without which no monotone path exists.
 //!
+//! The band is also capped at `max(n, m)`, which already covers the whole
+//! matrix, so an absurd `Band(usize::MAX)` is `Unconstrained` and not an
+//! overflow.
+//!
+//! ## The DTW kernel
+//!
+//! Every DTW on the query path — engine and baselines alike — is one
+//! rolling-row loop, [`DtwBuffer`]. It stores row `i` in *band coordinates*:
+//! the cells of columns `i−r … i+r` sit at slots `0 … 2r`, so a row is
+//! `2r+1` cells wide whatever the candidate length, the cell above is the
+//! previous row's slot `k+1`, the diagonal one its slot `k`, and the one to
+//! the left is still in a register. Columns that fall off the matrix at
+//! the two corners are fed from an `∞`-padded copy of the candidate, where
+//! `(xᵢ − ∞)²` is `∞` without a branch, and the three-way minimum is two
+//! compare-and-selects (one `minsd` each) instead of the NaN-aware
+//! `f64::min`. The result is **bit-identical** to the textbook
+//! `(m+1)`-wide formulation: each in-band cell is the same
+//! `d² + min(up, diag, left)` over the same neighbours (out-of-band and
+//! out-of-matrix ones read as `∞` in both), `min` of values that are finite
+//! and non-negative or `+∞` does not depend on operand order or on NaN
+//! rules, and the early-abandon test reads the same row minimum — so
+//! answers, abandon decisions and every work counter built on them are
+//! unchanged. A differential property test pins this against the previous
+//! loop, kept under `cfg(test)`.
+//!
 //! Inputs are expected to be finite (guaranteed by `onex-ts` validation);
 //! kernels are panic-free for any finite input, including empty slices where
 //! a distance is meaningful.
@@ -51,12 +76,12 @@ mod window;
 
 pub use dtw::{dtw, dtw_early_abandon, dtw_normalized, dtw_with_path, DtwBuffer};
 pub use ed::{ed, ed_early_abandon_sq, ed_normalized, ed_sq};
-pub use envelope::{Envelope, EnvelopeRef};
+pub use envelope::{Envelope, EnvelopeRef, EnvelopeScratch};
 pub use lb::{
     lb_keogh, lb_keogh_cumulative, lb_keogh_cumulative_into, lb_keogh_sq_abandon, lb_kim_fl,
 };
 pub use paa::{
     lb_paa, lb_paa_env_sq, lb_paa_sq, paa, paa_envelope_into, paa_extend, paa_into,
-    paa_segment_weights, pdtw, Paa,
+    paa_segment_weights, paa_segment_weights_into, pdtw, Paa,
 };
 pub use window::Window;

@@ -144,10 +144,20 @@ pub fn paa_extend(x: &[f64], m: usize, out: &mut Vec<f64>) {
 /// # Panics
 /// Panics when `m` is 0 or exceeds `n`.
 pub fn paa_segment_weights(n: usize, m: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(m);
+    paa_segment_weights_into(n, m, &mut out);
+    out
+}
+
+/// [`paa_segment_weights`] into a caller-owned buffer (cleared and refilled
+/// to exactly `m` values), for per-query scratch that must not allocate.
+///
+/// # Panics
+/// Panics when `m` is 0 or exceeds `n`.
+pub fn paa_segment_weights_into(n: usize, m: usize, out: &mut Vec<f64>) {
     assert!(m >= 1 && m <= n, "PAA width {m} outside 1..={n}");
-    (0..m)
-        .map(|j| (((j + 1) * n).div_ceil(m) - (j * n).div_ceil(m)) as f64)
-        .collect()
+    out.clear();
+    out.extend((0..m).map(|j| (((j + 1) * n).div_ceil(m) - (j * n).div_ceil(m)) as f64));
 }
 
 /// Reduces an envelope to `m` segments *conservatively*: `out_hi[j]` is the

@@ -21,17 +21,21 @@ impl Window {
     /// Resolves the constraint to an absolute half-width for an `n × m`
     /// matrix. The band is widened to at least `|n − m|` so that the corner
     /// cell `(n, m)` is always reachable, and to at least 1 so the
-    /// degenerate `Band(0)`/`Ratio(0)` settings still admit the diagonal.
+    /// degenerate `Band(0)`/`Ratio(0)` settings still admit the diagonal;
+    /// it is capped at `max(n, m)` — what `Unconstrained` resolves to, and
+    /// already the whole matrix — so that no caller's `i + r` can overflow
+    /// on a `Band(usize::MAX)` and the kernels, the envelope radius and the
+    /// cascade's radius comparisons all see one value.
     pub fn resolve(&self, n: usize, m: usize) -> usize {
         let floor = n.abs_diff(m).max(1);
-        match *self {
-            Window::Unconstrained => n.max(m),
-            Window::Band(r) => r.max(floor),
-            Window::Ratio(f) => {
-                let r = (f.clamp(0.0, 1.0) * n.max(m) as f64).ceil() as usize;
-                r.max(floor)
-            }
-        }
+        let full = n.max(m);
+        let r = match *self {
+            Window::Unconstrained => full,
+            Window::Band(r) => r,
+            // NaN casts to 0, like `Band(0)`.
+            Window::Ratio(f) => (f.clamp(0.0, 1.0) * full as f64).ceil() as usize,
+        };
+        r.max(floor).min(full)
     }
 
     /// True when the resolved band covers the whole matrix.
@@ -65,6 +69,8 @@ mod tests {
         assert_eq!(Window::Band(3).resolve(10, 5), 5);
         // Band(0) still admits the diagonal.
         assert_eq!(Window::Band(0).resolve(8, 8), 1);
+        // A band wider than the matrix is the whole matrix.
+        assert_eq!(Window::Band(usize::MAX).resolve(10, 7), 10);
     }
 
     #[test]

@@ -252,8 +252,7 @@
 //!   control (`max_inflight`) sheds excess queries immediately with a
 //!   typed [`OnexError::Overloaded`] instead of queueing unboundedly,
 //!   and per-query deadlines (`time_budget`) bound tail latency with a
-//!   deterministic truncation point. The serving perf baseline records
-//!   both tallies (`shed` / `degraded`), which stay 0 in healthy runs.
+//!   deterministic truncation point.
 //! * **Chaos coverage.** Module [`core::fault`] registers a named fault
 //!   point at every one of these boundaries (snapshot write, WAL
 //!   append, worker spawn, hot-swap), armed deterministically via the
@@ -313,40 +312,53 @@
 //! assigner prefilters its ED scan with `lb_paa_sq` against a live
 //! mean-sketch slab.
 //!
-//! The machine-readable performance baseline lives in `BENCH_pr8.json`
-//! (per-query-class latency — average and p50 — DTW/member-evaluation,
-//! per-tier prune-rate, and word-index counters on the synthetic
-//! datasets, plus the window/band parameters actually resolved per
-//! dataset, plus the **serving section**: multi-client throughput and
-//! tail latency, below; `BENCH_pr7.json` / `BENCH_pr5.json` /
-//! `BENCH_pr4.json` / `BENCH_pr3.json` are the pre-parallel, pre-index,
-//! pre-sketch and pre-columnar records — their DTW and member-eval
-//! counters are identical, the result-neutrality proof of all four
-//! refactors; the perf run pins `query_threads: 1` so the counters stay
-//! machine-independent). Regenerate or inspect it with:
+//! Tier 4 is one rolling-row kernel ([`dist::DtwBuffer`]) shared by the
+//! engine and the baselines: rows live in *band coordinates* — `2r+1`
+//! cells whatever the candidate length, neighbours at fixed offsets, `∞`
+//! padding instead of corner branches, one `minsd` per minimum — and each
+//! thread keeps its whole search context, so neither setting up a query
+//! nor evaluating a candidate allocates. It is bit-identical to the
+//! textbook formulation (the `onex-dist` crate docs say why, a
+//! differential property test pins it), so every counter below is
+//! unchanged by it.
+//!
+//! **Work** is tracked by `BENCH_pr10.json`: per-query-class DTW and
+//! member evaluations, per-tier prune rates and word-index counters on
+//! the synthetic datasets, plus the window/band parameters actually
+//! resolved per dataset, recorded with `query_threads: 1` so the counters
+//! are machine-independent (the older `BENCH_pr*.json` files are the
+//! records of earlier engine generations). Regenerate or inspect it with:
 //!
 //! ```sh
-//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --json BENCH_pr8.json
+//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --json BENCH_pr10.json
 //! ```
 //!
-//! The serving section drives one shared [`Explorer`] from N client
-//! threads (N ∈ {1, 4}) over a fixed query mix and reports throughput
-//! (qps) plus p50/p95/p99 latency per query class and dataset — the
-//! interactive-exploration story of the paper measured end to end.
-//! CI replays the same run with `--check-against BENCH_pr8.json` and
+//! CI replays the same run with `--check-against BENCH_pr10.json` and
 //! fails when best-match *or top-k* DTW or member evaluations regress
 //! more than 2×, the tier-0 prune rate falls below half the baseline's,
-//! the p50 latency regresses more than 3× (one of the two loose
-//! wall-clock gates), the word index stops engaging (zero
-//! `groups_skipped_by_index` on any dataset), or — on machines with ≥ 2
-//! cores — the fresh run's 4-client throughput fails to reach 1.5× its
-//! own single-client throughput on the ECG dataset (the second
-//! wall-clock gate, self-relative so cross-machine noise cannot trip
-//! it) — otherwise exact counters, not wall-clock, so the gate is stable
-//! on shared runners. The `rep_scan` criterion bench times the columnar
-//! rep scan, envelope tier, sketch tier, and the scalar-vs-blocked
-//! kernels in isolation (`cargo bench --no-run` compiles in CI so the
-//! benches can't rot).
+//! or the word index stops engaging (zero `groups_skipped_by_index` on
+//! any dataset) — exact counters only, so the gate is stable on shared
+//! runners; the latencies that run prints are for the reader and nothing
+//! checks them.
+//!
+//! **Wall-clock** is the repo benchmark's: `BENCHMARK.json` declares the
+//! command, three workloads (a 1.24 M-subsequence base, a 22 k-group
+//! base, the paper's ItalyPower shape), eleven end-to-end metrics —
+//! build, best-match p50/p95, top-k, range, accuracy, save, load, append,
+//! snapshot bytes, peak RSS — with the bound each may worsen by, and
+//! 74 per-layer metrics; `benchmark/README.md` documents the
+//! timing rule, the checks behind `failed_ops`, and the first readings.
+//! Every latency, throughput or memory statement about this engine
+//! quotes those names, measured on parent and change with that package:
+//!
+//! ```sh
+//! cargo run --release --offline --manifest-path benchmark/Cargo.toml               # all workloads
+//! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --trace    # per-layer run
+//! ```
+//!
+//! The `rep_scan` criterion bench times the columnar rep scan, envelope
+//! tier, sketch tier, and the scalar-vs-blocked kernels in isolation
+//! (`cargo bench --no-run` compiles in CI so the benches can't rot).
 //!
 //! ## Correctness tooling
 //!
