@@ -41,11 +41,42 @@ const STRICT_ROUNDS: usize = 4;
 /// the built base stays bit-identical to the unfiltered scan's.
 const PAA_PREFILTER_MARGIN: f64 = 1e-9;
 
+/// The raw-space admission threshold `√L · ST/2` of Def. 8 at length
+/// `len` — what the assigner admits and the Strict repair evicts against.
+pub(crate) fn strict_limit(len: usize, st: f64) -> f64 {
+    (len as f64).sqrt() * st / 2.0
+}
+
+/// The first Def. 8 violation in a finalized `slab` at threshold `st`, as
+/// `(group, member, raw ED)`: a member of a multi-member group whose stored
+/// raw ED to its representative exceeds [`strict_limit`]. The stored ED is
+/// the raw ED to the mean, so this is exactly the test the Strict repair
+/// evicts on; a singleton is never evicted, so it cannot violate.
+pub(crate) fn def8_violation(slab: &LengthSlab, st: f64) -> Option<(usize, SubseqRef, f64)> {
+    let limit = strict_limit(slab.subseq_len(), st);
+    (0..slab.group_count())
+        .filter(|&local| slab.member_count(local) > 1)
+        .find_map(|local| {
+            let members = slab.members(local);
+            let &(r, d) = members.iter().find(|&&(_, d)| d > limit)?;
+            Some((local, r, d))
+        })
+}
+
 /// Incremental assignment state for one length: the group slab under
 /// construction plus the *live* means, kept in a parallel flat slab so the
 /// ED hot loop walks contiguous rows — and the means' PAA sketches in a
 /// second flat slab, so an O(w) LB_PAA prefilter can skip the O(len) ED
 /// for candidates that provably cannot join a group.
+///
+/// It also keeps the **touched set**: the groups whose membership changed
+/// since the slab was handed in (joined, seeded, evicted from or
+/// re-inserted into). Only those can have moved means, so only those are
+/// Strict-checked and re-finalized; every other group passes through bit
+/// for bit. Construction and refinement splits hand in slabs whose every
+/// group counts as changed ([`Assigner::with_slab`]); appends and refinement
+/// merges reopen a slab in which only the unfinalized groups count as
+/// changed ([`Assigner::reopen`]).
 pub(crate) struct Assigner {
     pub(crate) slab: LengthSlab,
     /// Live means, row-major with the same stride/order as the slab.
@@ -65,6 +96,8 @@ pub(crate) struct Assigner {
     paa_w: usize,
     /// Raw-space admission threshold `√L · ST/2`.
     limit_raw: f64,
+    /// Per group: membership changed since the slab was handed in.
+    changed: Vec<bool>,
 }
 
 impl Assigner {
@@ -72,9 +105,27 @@ impl Assigner {
         Self::with_slab(st, LengthSlab::new(len, paa_width, sax_alphabet))
     }
 
-    /// Seeds the assigner with an existing slab (used by refinement and
-    /// maintenance, which extend an already-built base).
+    /// Seeds the assigner with an existing slab whose every group counts as
+    /// changed (refinement splits, Lloyd rounds, the shrunk groups of a
+    /// removal, a snapshot length that breaks Def. 8).
     pub(crate) fn with_slab(st: f64, slab: LengthSlab) -> Self {
+        let g = slab.group_count();
+        Self::resume(st, slab, vec![true; g])
+    }
+
+    /// Reopens a slab whose unfinalized groups are the changed ones: none
+    /// for an append, which resumes a finalized slab, and the merged groups
+    /// after refinement merges. The finalized groups must satisfy Def. 8 at
+    /// `st` (an append keeps `ST`; a merge raises it), so those the
+    /// assignment never reaches pass through [`Assigner::finish`] untouched.
+    pub(crate) fn reopen(st: f64, slab: LengthSlab) -> Self {
+        let changed = (0..slab.group_count())
+            .map(|local| !slab.is_finalized(local))
+            .collect();
+        Self::resume(st, slab, changed)
+    }
+
+    fn resume(st: f64, slab: LengthSlab, changed: Vec<bool>) -> Self {
         let len = slab.subseq_len();
         let paa_w = slab.paa_width();
         let mut asg = Assigner {
@@ -85,10 +136,36 @@ impl Assigner {
             row_paa: Vec::new(),
             len,
             paa_w,
-            limit_raw: (len as f64).sqrt() * st / 2.0,
+            limit_raw: strict_limit(len, st),
+            changed,
         };
         asg.rebuild_means();
         asg
+    }
+
+    /// Closes the length — shared by construction, append and removal: the
+    /// Strict repair (in [`BuildMode::Strict`]), then finalization of every
+    /// changed group. Returns the slab and, per group, whether it changed;
+    /// an unchanged group's representative is bit-identical to the one the
+    /// slab held when handed in, which is what lets
+    /// [`crate::index::LengthIndex`] reuse its `Dc` row. (An unchanged group
+    /// is already finalized over the same sums and members, and
+    /// [`LengthSlab::finalize`] would reproduce it bit for bit.)
+    pub(crate) fn finish(
+        mut self,
+        dataset: &Dataset,
+        config: &OnexConfig,
+    ) -> (LengthSlab, Vec<bool>) {
+        if config.build_mode == BuildMode::Strict {
+            self.enforce_invariant(dataset);
+        }
+        let radius = config.window.resolve(self.len, self.len);
+        for (local, &changed) in self.changed.iter().enumerate() {
+            if changed {
+                self.slab.finalize(local, dataset, radius);
+            }
+        }
+        (self.slab, self.changed)
     }
 
     /// Assigns one subsequence: joins the closest qualifying group or seeds
@@ -141,6 +218,7 @@ impl Assigner {
                 // Re-sketch the moved mean from its row (see `means_paa`).
                 paa_into(row, self.paa_w, &mut self.row_paa);
                 self.means_paa[k * self.paa_w..(k + 1) * self.paa_w].copy_from_slice(&self.row_paa);
+                self.changed[k] = true;
                 k
             }
             None => {
@@ -149,58 +227,139 @@ impl Assigner {
                 // A singleton's mean is the candidate itself, so its
                 // sketch is the candidate's — bit-identical to a recompute.
                 self.means_paa.extend_from_slice(&self.cand_paa);
+                self.changed.push(true);
                 k
             }
         }
     }
 
-    /// Strict-mode repair: evict members outside the limit of their group's
-    /// final mean and re-insert them, for up to [`STRICT_ROUNDS`] rounds.
-    /// Any subsequence still violating afterwards becomes a singleton group,
-    /// so the Def. 8 invariant holds unconditionally on return.
-    pub(crate) fn enforce_invariant(&mut self, dataset: &Dataset) {
+    /// Strict-mode repair over the touched set: evict members outside the
+    /// limit of their group's mean and re-insert them, for up to
+    /// [`STRICT_ROUNDS`] rounds; subsequences still evicted in the last
+    /// round become singleton groups, and the groups they left are
+    /// re-checked (evict-only) until none evicts, so the Def. 8 invariant
+    /// holds unconditionally on return.
+    ///
+    /// Each round checks only the groups that changed since their last
+    /// check: the touched set on the first round, then the groups that
+    /// evicted or received a re-insertion. Any other group's mean is
+    /// bit-identical to the one it last passed against (or, on the first
+    /// round, to the one it held on input, where Def. 8 already held), so it
+    /// cannot evict — the repair does exactly what a check of every group
+    /// would.
+    fn enforce_invariant(&mut self, dataset: &Dataset) {
+        let mut check: Vec<usize> = (0..self.changed.len())
+            .filter(|&local| self.changed[local])
+            .collect();
         for round in 0..STRICT_ROUNDS {
-            let mut evicted: Vec<SubseqRef> = Vec::new();
-            for local in 0..self.slab.group_count() {
-                evicted.extend(self.slab.evict_outside(local, dataset, self.limit_raw));
-            }
-            // Eviction changed means: rebuild the mean slab.
-            self.rebuild_means();
+            let (mut evicted, mut moved) = self.evict_pass(&check, dataset);
             if evicted.is_empty() {
                 return;
             }
             if round + 1 == STRICT_ROUNDS {
-                // Final round: isolate stragglers instead of re-inserting.
-                for r in evicted {
-                    let values = dataset.subseq_unchecked(r);
-                    self.slab.seed(r, values);
-                    self.means.extend_from_slice(values);
-                    paa_into(values, self.paa_w, &mut self.row_paa);
-                    self.means_paa.extend_from_slice(&self.row_paa);
+                // Final round: isolate stragglers instead of re-inserting,
+                // then re-check the groups they left — their means moved.
+                while !evicted.is_empty() {
+                    for r in evicted {
+                        self.isolate(dataset, r);
+                    }
+                    (evicted, moved) = self.evict_pass(&moved, dataset);
                 }
                 return;
             }
+            check = moved;
             for r in evicted {
-                self.assign(dataset, r);
+                check.push(self.assign(dataset, r));
             }
+            check.sort_unstable();
+            check.dedup();
         }
     }
 
-    /// Rebuilds the mean slab (and its sketch slab) from the group sums —
-    /// used after construction from an existing slab and after evictions,
-    /// both of which move means non-incrementally.
+    /// One eviction pass over `groups` (ascending): returns the evicted
+    /// subsequences in group order and the groups that lost members. Every
+    /// checked group's live mean is then reset from its sums — eviction
+    /// moved some, incremental joins drifted others.
+    fn evict_pass(&mut self, groups: &[usize], dataset: &Dataset) -> (Vec<SubseqRef>, Vec<usize>) {
+        let (mut evicted, mut moved) = (Vec::new(), Vec::new());
+        for &local in groups {
+            let out = self.slab.evict_outside(local, dataset, self.limit_raw);
+            if !out.is_empty() {
+                moved.push(local);
+                evicted.extend(out);
+            }
+        }
+        for &local in groups {
+            self.refresh_mean(local);
+        }
+        (evicted, moved)
+    }
+
+    /// Seeds `r` as a singleton group (the Strict repair's last resort).
+    fn isolate(&mut self, dataset: &Dataset, r: SubseqRef) {
+        let values = dataset.subseq_unchecked(r);
+        self.slab.seed(r, values);
+        self.means.extend_from_slice(values);
+        paa_into(values, self.paa_w, &mut self.row_paa);
+        self.means_paa.extend_from_slice(&self.row_paa);
+        self.changed.push(true);
+    }
+
+    /// Builds the mean slab (and its sketch slab) from the group sums of a
+    /// slab handed in.
     fn rebuild_means(&mut self) {
         let g = self.slab.group_count();
         self.means.resize(g * self.len, 0.0);
         self.means_paa.resize(g * self.paa_w, 0.0);
-        let mut row = Vec::new();
         for local in 0..g {
-            self.slab.mean_into(local, &mut row);
-            self.means[local * self.len..(local + 1) * self.len].copy_from_slice(&row);
-            paa_into(&row, self.paa_w, &mut self.row_paa);
-            self.means_paa[local * self.paa_w..(local + 1) * self.paa_w]
-                .copy_from_slice(&self.row_paa);
+            self.refresh_mean(local);
         }
+    }
+
+    /// Resets group `local`'s live mean and its sketch from the group sum.
+    fn refresh_mean(&mut self, local: usize) {
+        let row = &mut self.means[local * self.len..(local + 1) * self.len];
+        self.slab.write_mean(local, row);
+        paa_into(row, self.paa_w, &mut self.row_paa);
+        self.means_paa[local * self.paa_w..(local + 1) * self.paa_w].copy_from_slice(&self.row_paa);
+    }
+
+    /// The whole-length [`Assigner::finish`] the touched set replaced, kept
+    /// as the reference the differential tests compare against: every
+    /// repair round checks every group (with the same final-round re-check)
+    /// and every group is re-finalized.
+    #[cfg(test)]
+    pub(crate) fn finish_every_group(
+        mut self,
+        dataset: &Dataset,
+        config: &OnexConfig,
+    ) -> LengthSlab {
+        if config.build_mode == BuildMode::Strict {
+            let every = |asg: &Self| (0..asg.slab.group_count()).collect::<Vec<_>>();
+            for round in 0..STRICT_ROUNDS {
+                let (mut evicted, _) = self.evict_pass(&every(&self), dataset);
+                if evicted.is_empty() {
+                    break;
+                }
+                if round + 1 == STRICT_ROUNDS {
+                    while !evicted.is_empty() {
+                        for r in evicted {
+                            self.isolate(dataset, r);
+                        }
+                        (evicted, _) = self.evict_pass(&every(&self), dataset);
+                    }
+                    break;
+                }
+                for r in evicted {
+                    self.assign(dataset, r);
+                }
+            }
+        }
+        let radius = config.window.resolve(self.len, self.len);
+        for local in 0..self.slab.group_count() {
+            self.slab.finalize(local, dataset, radius);
+        }
+        self.slab
     }
 }
 
@@ -225,13 +384,7 @@ pub fn build_length_groups(dataset: &Dataset, len: usize, config: &OnexConfig) -
     if let crate::ClusterStrategy::KMeansRefined { iters } = config.cluster {
         lloyd_refine(dataset, len, config, &refs, &mut asg, iters);
     }
-    if config.build_mode == BuildMode::Strict {
-        asg.enforce_invariant(dataset);
-    }
-    let radius = config.window.resolve(len, len);
-    let mut slab = asg.slab;
-    slab.finalize_all(dataset, radius);
-    slab
+    asg.finish(dataset, config).0
 }
 
 /// Lloyd refinement over the greedy groups (tech-report's alternative
@@ -335,6 +488,56 @@ mod tests {
     use super::*;
     use onex_dist::ed_normalized;
     use onex_ts::{synth, Decomposition};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The touched-set repair equals the every-group reference on
+        /// random groupings of 2-D points that break Def. 8 all over
+        /// (long eviction chains, the last round included), and again when
+        /// the repaired slab is extended with further points.
+        #[test]
+        fn touched_set_repair_matches_every_group_reference(
+            points in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64), 10..90),
+            groups in 1..10usize,
+            split in 0.5..0.95f64,
+            st in 0.05..0.5f64,
+        ) {
+            let d = Dataset::new(
+                "points",
+                points
+                    .iter()
+                    .map(|&(x, y)| onex_ts::TimeSeries::new(vec![x, y]).unwrap())
+                    .collect(),
+            );
+            let r = |i: usize| SubseqRef::new(i as u32, 0, 2);
+            let initial = ((points.len() as f64 * split) as usize).max(1);
+            let mut slab = LengthSlab::new(2, 2, 4);
+            for i in 0..initial {
+                let k = i % groups;
+                if k < slab.group_count() {
+                    slab.push_member(k, r(i), d.subseq_unchecked(r(i)));
+                } else {
+                    slab.seed(r(i), d.subseq_unchecked(r(i)));
+                }
+            }
+            let cfg = config(st);
+            let (repaired, _) = Assigner::with_slab(st, slab.clone()).finish(&d, &cfg);
+            let reference = Assigner::with_slab(st, slab).finish_every_group(&d, &cfg);
+            prop_assert!(repaired == reference, "from scratch");
+
+            let mut touched = Assigner::reopen(st, repaired.clone());
+            let mut every = Assigner::with_slab(st, repaired);
+            for i in initial..points.len() {
+                touched.assign(&d, r(i));
+                every.assign(&d, r(i));
+            }
+            let (extended, changed) = touched.finish(&d, &cfg);
+            prop_assert!(extended == every.finish_every_group(&d, &cfg), "extending");
+            prop_assert_eq!(changed.len(), extended.group_count());
+        }
+    }
 
     fn config(st: f64) -> OnexConfig {
         OnexConfig {
@@ -382,6 +585,56 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An eviction chain that uses up every repair round, on one-sample
+    /// subsequences with limit 1 (ST = 2): each round's evictee joins the
+    /// next group and pushes one of its members out. In the last round
+    /// group H evicts -0.6, which moves H's mean to 0.8675, so -0.3 (which
+    /// passed against the old mean 0.574) now lies 1.1675 from it. The
+    /// repair must re-check H and isolate -0.3 too.
+    #[test]
+    fn strict_repair_rechecks_groups_its_last_round_shrank() {
+        let groups: [&[f64]; 4] = [
+            &[-0.3, -0.6, 1.2, 1.2], // H: receives 1.37 in round 2
+            &[1.37, 2.87],           // receives 3.1 in round 1, evicts 1.37
+            &[3.1, 4.6],             // receives 4.84 in round 0, evicts 3.1
+            &[4.84, 6.5, 6.5],       // evicts 4.84 in round 0
+        ];
+        let values: Vec<f64> = groups.iter().flat_map(|g| g.iter().copied()).collect();
+        let d = Dataset::new(
+            "chain",
+            values
+                .iter()
+                .map(|&v| onex_ts::TimeSeries::new(vec![v]).unwrap())
+                .collect(),
+        );
+        let mut slab = LengthSlab::new(1, 1, 4);
+        let mut series = 0u32;
+        for g in groups {
+            let mut local = None;
+            for _ in g {
+                let r = SubseqRef::new(series, 0, 1);
+                match local {
+                    None => local = Some(slab.seed(r, d.subseq_unchecked(r))),
+                    Some(k) => slab.push_member(k, r, d.subseq_unchecked(r)),
+                }
+                series += 1;
+            }
+        }
+        let mut asg = Assigner::with_slab(2.0, slab);
+        asg.enforce_invariant(&d);
+        let slab = asg.slab;
+        let mut mean = Vec::new();
+        for local in (0..slab.group_count()).filter(|&l| slab.member_count(l) > 1) {
+            slab.mean_into(local, &mut mean);
+            for &(r, _) in slab.members(local) {
+                let dist = onex_dist::ed(d.subseq_unchecked(r), &mean);
+                assert!(dist <= 1.0, "{r:?} at raw ED {dist} from {mean:?}");
+            }
+        }
+        // -0.6 and -0.3 end up alone.
+        assert_eq!(slab.group_count(), 6);
     }
 
     #[test]

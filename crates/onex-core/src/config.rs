@@ -82,7 +82,8 @@ pub struct OnexConfig {
     /// by the Def. 6 normalized DTW `DTW/2n`, which systematically favours
     /// long matches (the per-point cost grows like √n while the divisor
     /// grows like n); with it, accurate any-length search must visit every
-    /// length. See DESIGN.md §5.
+    /// length, so the early stop saves nothing and the paper's search order
+    /// loses its point.
     pub rank_normalized: bool,
     /// Width (segment count) of the precomputed PAA sketches the store
     /// keeps for every representative, member and representative envelope —

@@ -817,11 +817,17 @@ impl Explorer {
     /// atomically hot-swapped: queries in flight finish on the old base,
     /// queries issued afterwards see the new series. With a WAL attached
     /// ([`Explorer::attach_wal`]) the op is journaled before the swap.
+    ///
+    /// The cost follows the touched-set rule: only the groups the new
+    /// subsequences join or seed (plus, in [`crate::BuildMode::Strict`],
+    /// those the repair evicts from or re-inserts into) are re-finalized,
+    /// and only their rows of each length's `Dc` matrix are recomputed;
+    /// every other group and row is copied from the live base.
     pub fn append_series(&self, series: TimeSeries) -> Result<usize> {
         let _writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let (current, epoch) = self.pin_parts();
         let op = wal::WalOp::Append(series.clone());
-        let (next, index) = maintain::append_series_impl((*current).clone(), series)?;
+        let (next, index) = maintain::append_series_impl(current.to_predecessor(), series)?;
         // Deep self-check of the successor before it goes live — debug
         // builds only; see OnexBase::validate_invariants for the catalog.
         #[cfg(debug_assertions)]
@@ -838,10 +844,15 @@ impl Explorer {
     /// successor is atomically hot-swapped. Note that series indices above
     /// `index` shift down by one, exactly as in `Vec::remove`. With a WAL
     /// attached the op is journaled before the swap.
+    ///
+    /// The cost follows the touched-set rule: only the groups that shrank
+    /// are re-finalized (and Strict-repaired), and only their rows of each
+    /// length's `Dc` matrix are recomputed; untouched groups and their rows
+    /// are copied from the live base.
     pub fn remove_series(&self, index: usize) -> Result<TimeSeries> {
         let _writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let (current, epoch) = self.pin_parts();
-        let (next, removed) = maintain::remove_series_impl((*current).clone(), index)?;
+        let (next, removed) = maintain::remove_series_impl(current.to_predecessor(), index)?;
         // Deep self-check of the successor before it goes live (debug only).
         #[cfg(debug_assertions)]
         next.validate_invariants()?;

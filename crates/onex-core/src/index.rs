@@ -10,7 +10,12 @@
 //! derived quantities (sum order, critical thresholds), estimated from a
 //! fixed-size sample of representatives — group counts that large mean the
 //! threshold is far below the dataset's intrinsic spread and exact merge
-//! cascades over a multi-gigabyte matrix would be pointless (DESIGN.md §5).
+//! cascades over a multi-gigabyte matrix would be pointless.
+//!
+//! Maintenance builds a successor entry from its predecessor: `Dc` rows of
+//! unchanged representatives are copied, only changed or new rows are
+//! computed, and the result is bit-identical to a from-scratch
+//! [`LengthIndex::build`].
 
 use crate::store::LengthSlab;
 use crate::GroupId;
@@ -46,30 +51,70 @@ pub struct LengthIndex {
     pub st_final: f64,
 }
 
+/// What a successor slab may take from its predecessor's GTI entry at the
+/// same length: the entry itself and, for each group position of the new
+/// slab, the old position whose representative it kept bit for bit (`None`
+/// for a new or re-elected representative).
+pub(crate) struct Reuse<'a> {
+    pub(crate) prev: &'a LengthIndex,
+    pub(crate) from: Vec<Option<u32>>,
+}
+
+impl Reuse<'_> {
+    /// No representative of a `g`-group successor changed or moved.
+    fn keeps_every_position(&self, g: usize) -> bool {
+        self.prev.group_count() == g
+            && self
+                .from
+                .iter()
+                .enumerate()
+                .all(|(i, &o)| o == Some(i as u32))
+    }
+}
+
 impl LengthIndex {
     /// Builds the entry from this length's group slab (the representatives
     /// are read straight off the contiguous rep slab). `st` is the base's
     /// construction threshold (critical thresholds are `ST + merge-distance`).
     pub fn build(len: usize, group_ids: Vec<GroupId>, slab: &LengthSlab, st: f64) -> Self {
+        Self::build_reusing(len, group_ids, slab, st, None)
+    }
+
+    /// [`LengthIndex::build`], taking what `reuse` says is still valid from
+    /// the predecessor entry. A length with no changed or moved
+    /// representative keeps its `Dc`, sum order and thresholds as they are
+    /// (only the ids may shift). Otherwise the dense `Dc` copies the rows of
+    /// unchanged representatives and computes the rest (see [`dense_dc`]);
+    /// row sums, their order and the MST then run on the full new matrix.
+    /// The sampled path (`g > DC_DENSE_LIMIT`) reuses nothing.
+    pub(crate) fn build_reusing(
+        len: usize,
+        group_ids: Vec<GroupId>,
+        slab: &LengthSlab,
+        st: f64,
+        reuse: Option<Reuse<'_>>,
+    ) -> Self {
         debug_assert_eq!(group_ids.len(), slab.group_count());
         let g = slab.group_count();
+        let reuse = match reuse {
+            Some(r) if r.keeps_every_position(g) => {
+                return LengthIndex {
+                    group_ids,
+                    ..r.prev.clone()
+                };
+            }
+            Some(r) if r.prev.dc_is_dense() => Some(r),
+            _ => None,
+        };
         let dense = g <= DC_DENSE_LIMIT;
 
         let mut dc = Vec::new();
         let mut sums: Vec<(u32, f64)>;
         let (st_half, st_final);
         if dense {
-            dc = vec![0.0; g * g];
-            for i in 0..g {
-                for j in (i + 1)..g {
-                    let d = ed_normalized(slab.rep_row(i), slab.rep_row(j));
-                    dc[i * g + j] = d;
-                    dc[j * g + i] = d;
-                }
-            }
-            sums = (0..g)
-                .map(|i| (i as u32, dc[i * g..(i + 1) * g].iter().sum()))
-                .collect();
+            let row_sums;
+            (dc, row_sums) = dense_dc(slab, reuse.as_ref());
+            sums = (0..g as u32).zip(row_sums).collect();
             let (h, f) = critical_thresholds(|i, j| dc[i * g + j], g, st);
             st_half = h;
             st_final = f;
@@ -211,11 +256,65 @@ impl LengthIndex {
     }
 }
 
-/// Critical thresholds via the single-linkage merge cascade (DESIGN.md §5.4):
-/// groups merge when `ST' − ST ≥ Dc`; modelling cascaded merges as
-/// single-linkage agglomeration, the k-th merge happens at the k-th smallest
-/// MST edge weight of the complete `Dc` graph. Half the groups have merged
-/// after `⌊g/2⌋` merges; all after `g − 1`.
+/// The dense `Dc` matrix of `slab`'s representatives, filled row by row,
+/// and its row sums (each taken, left to right, as soon as its row is
+/// complete). A changed or new row is computed in full with
+/// `ed_normalized` (each changed × changed pair once, mirrored). An
+/// unchanged row copies the runs of its old row whose columns still line
+/// up, then patches its changed columns from their rows. With nothing to
+/// reuse every row is changed and this is the plain upper-triangle fill.
+/// Each entry is a pure function of two representative rows, and
+/// `ed_normalized` is symmetric bit for bit (`(x−y)² = (y−x)²` in IEEE), so
+/// the matrix is bit-identical to a from-scratch fill whatever was reused.
+fn dense_dc(slab: &LengthSlab, reuse: Option<&Reuse<'_>>) -> (Vec<f64>, Vec<f64>) {
+    let g = slab.group_count();
+    let from = |i: usize| reuse.and_then(|r| r.from[i]);
+    let mut dc = vec![0.0; g * g];
+    let mut sums = vec![0.0; g];
+    for i in (0..g).filter(|&i| from(i).is_none()) {
+        for j in (0..g).filter(|&j| j != i) {
+            dc[i * g + j] = if j < i && from(j).is_none() {
+                dc[j * g + i]
+            } else {
+                ed_normalized(slab.rep_row(i), slab.rep_row(j))
+            };
+        }
+        sums[i] = dc[i * g..(i + 1) * g].iter().sum();
+    }
+    let Some(Reuse { prev, from }) = reuse else {
+        return (dc, sums);
+    };
+    // Maximal column runs (new start, old start, length) whose old
+    // positions are consecutive, and the changed columns.
+    let mut runs: Vec<(usize, usize, usize)> = Vec::new();
+    let mut changed = Vec::new();
+    for (j, &o) in from.iter().enumerate() {
+        match (o, runs.last_mut()) {
+            (None, _) => changed.push(j),
+            (Some(o), Some((s, os, n))) if *s + *n == j && *os + *n == o as usize => *n += 1,
+            (Some(o), _) => runs.push((j, o as usize, 1)),
+        }
+    }
+    let go = prev.group_count();
+    for (i, &o) in from.iter().enumerate() {
+        let Some(oi) = o else { continue };
+        let old_row = &prev.dc[oi as usize * go..(oi as usize + 1) * go];
+        for &(s, os, n) in &runs {
+            dc[i * g + s..i * g + s + n].copy_from_slice(&old_row[os..os + n]);
+        }
+        for &j in &changed {
+            dc[i * g + j] = dc[j * g + i];
+        }
+        sums[i] = dc[i * g..(i + 1) * g].iter().sum();
+    }
+    (dc, sums)
+}
+
+/// Critical thresholds via the single-linkage merge cascade: groups merge
+/// when `ST' − ST ≥ Dc` (§5.2 case 3.2a), and since a merge can enable the
+/// next, the cascade is single-linkage agglomeration, so the k-th merge
+/// happens at the k-th smallest MST edge weight of the complete `Dc` graph.
+/// Half the groups have merged after `⌊g/2⌋` merges; all after `g − 1`.
 fn critical_thresholds(dist: impl Fn(usize, usize) -> f64, g: usize, st: f64) -> (f64, f64) {
     if g <= 1 {
         return (st, st);
@@ -229,37 +328,38 @@ fn critical_thresholds(dist: impl Fn(usize, usize) -> f64, g: usize, st: f64) ->
 }
 
 /// Prim's algorithm over the complete graph with the given distance oracle;
-/// returns the `g − 1` MST edge weights. O(g²) time, O(g) memory.
+/// returns the `g − 1` MST edge weights in the order the vertices join.
+/// O(g²) time, O(g) memory, one sweep per vertex over the vertices not yet
+/// in the tree, kept in ascending order: each sweep relaxes `best[j]`
+/// against the vertex added last and picks the next vertex in the same pass
+/// (the first sweep sets `best[j] = dist(0, j)` outright); on a tie the
+/// lower index wins.
 fn mst_edge_weights(dist: &impl Fn(usize, usize) -> f64, g: usize) -> Vec<f64> {
-    let mut in_tree = vec![false; g];
-    let mut best = vec![f64::INFINITY; g];
-    in_tree[0] = true;
-    for (j, b) in best.iter_mut().enumerate().skip(1) {
-        *b = dist(0, j);
-    }
+    // `rest[k]` is a vertex outside the tree and `best[k]` its distance to
+    // the tree.
+    let mut rest: Vec<usize> = (1..g).collect();
+    let mut best = vec![f64::INFINITY; g - 1];
+    let mut last = 0;
     let mut weights = Vec::with_capacity(g - 1);
-    for _ in 1..g {
-        let mut next = usize::MAX;
+    while !rest.is_empty() {
+        let first = weights.is_empty();
+        let mut pick = 0;
         let mut w = f64::INFINITY;
-        for j in 0..g {
+        for (k, (&j, b)) in rest.iter().zip(best.iter_mut()).enumerate() {
+            let d = dist(last, j);
+            if first || d < *b {
+                *b = d;
+            }
             // total_cmp keeps the selection well-defined even if a caller
             // ever feeds non-finite distances.
-            if !in_tree[j] && (next == usize::MAX || best[j].total_cmp(&w).is_lt()) {
-                next = j;
-                w = best[j];
+            if k == 0 || b.total_cmp(&w).is_lt() {
+                pick = k;
+                w = *b;
             }
         }
-        debug_assert_ne!(next, usize::MAX);
-        in_tree[next] = true;
+        last = rest.remove(pick);
+        best.remove(pick);
         weights.push(w);
-        for j in 0..g {
-            if !in_tree[j] {
-                let d = dist(next, j);
-                if d < best[j] {
-                    best[j] = d;
-                }
-            }
-        }
     }
     weights
 }
@@ -449,5 +549,179 @@ mod tests {
         let (_d, slab) = groups_from(&[vec![0.0, 0.0], vec![1.0, 1.0]]);
         let idx = LengthIndex::build(2, vec![0, 1], &slab, 0.2);
         assert!(idx.size_bytes() >= 4 * 8);
+    }
+
+    fn assert_bits_eq(a: &LengthIndex, b: &LengthIndex, what: &str) {
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a.dc), bits(&b.dc), "{what}: Dc");
+        assert_eq!(a.sum_order, b.sum_order, "{what}: sum order");
+        assert_eq!(a.st_half.to_bits(), b.st_half.to_bits(), "{what}: ST_half");
+        assert_eq!(
+            a.st_final.to_bits(),
+            b.st_final.to_bits(),
+            "{what}: ST_final"
+        );
+        assert_eq!(a.group_ids, b.group_ids, "{what}: ids");
+    }
+
+    /// `build_reusing` on a successor slab equals `build` bit for bit, for
+    /// random keep-masks over random predecessors: kept representatives
+    /// retired, permuted or in place, plus new ones, and the all-unchanged
+    /// identity.
+    #[test]
+    fn reuse_constructor_matches_build_bit_for_bit() {
+        fn shuffle<T>(v: &mut [T], rng: &mut SmallRng) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.gen_range(0..=i));
+            }
+        }
+        let mut rng = SmallRng::seed_from_u64(26);
+        let rep = |rng: &mut SmallRng, len: usize| -> Vec<f64> {
+            (0..len).map(|_| rng.gen_range(0.0..1.0)).collect()
+        };
+        for case in 0..200 {
+            let len = rng.gen_range(2..9);
+            let g_old = rng.gen_range(1..24);
+            let old: Vec<Vec<f64>> = (0..g_old).map(|_| rep(&mut rng, len)).collect();
+            let (_d, old_slab) = groups_from(&old);
+            let prev = LengthIndex::build(len, (0..g_old as u32).collect(), &old_slab, 0.2);
+
+            // Kept old positions (a random subset, or all), optionally
+            // permuted, then new representatives, optionally interleaved.
+            let mut kept: Vec<usize> = match case % 4 {
+                0 => (0..g_old).collect(),
+                _ => (0..g_old)
+                    .filter(|_| rng.gen_range(0.0..1.0) < 0.7)
+                    .collect(),
+            };
+            if case % 3 == 1 {
+                shuffle(&mut kept, &mut rng);
+            }
+            let fresh = if case % 8 == 0 {
+                0
+            } else {
+                rng.gen_range(0..6)
+            };
+            let mut layout: Vec<Option<usize>> = kept.into_iter().map(Some).collect();
+            layout.extend((0..fresh).map(|_| None));
+            if case % 5 == 2 {
+                shuffle(&mut layout, &mut rng);
+            }
+            if layout.is_empty() {
+                continue;
+            }
+            let reps: Vec<Vec<f64>> = layout
+                .iter()
+                .map(|o| o.map_or_else(|| rep(&mut rng, len), |o| old[o].clone()))
+                .collect();
+            let (_d, slab) = groups_from(&reps);
+            let g = reps.len();
+            let ids: Vec<GroupId> = (7..7 + g as u32).collect();
+            let from = layout.iter().map(|o| o.map(|o| o as u32)).collect();
+            let reused = LengthIndex::build_reusing(
+                len,
+                ids.clone(),
+                &slab,
+                0.2,
+                Some(Reuse { prev: &prev, from }),
+            );
+            let fresh_idx = LengthIndex::build(len, ids, &slab, 0.2);
+            assert_bits_eq(&reused, &fresh_idx, &format!("case {case}"));
+        }
+    }
+
+    /// The identity reuse keeps the predecessor's entry outright — also on
+    /// the sampled path, which is a pure function of the same reps.
+    #[test]
+    fn all_unchanged_length_keeps_its_entry() {
+        let reps: Vec<Vec<f64>> = (0..DC_DENSE_LIMIT + 3)
+            .map(|i| {
+                let v = (i * 7919 % 1000) as f64 / 1000.0;
+                vec![v, 1.0 - v]
+            })
+            .collect();
+        let (_d, slab) = groups_from(&reps);
+        let g = reps.len();
+        let prev = LengthIndex::build(2, (0..g as u32).collect(), &slab, 0.2);
+        let shifted: Vec<GroupId> = (5..5 + g as u32).collect();
+        let from = (0..g as u32).map(Some).collect();
+        let kept = LengthIndex::build_reusing(
+            2,
+            shifted.clone(),
+            &slab,
+            0.2,
+            Some(Reuse { prev: &prev, from }),
+        );
+        assert_bits_eq(
+            &kept,
+            &LengthIndex::build(2, shifted, &slab, 0.2),
+            "sampled",
+        );
+    }
+
+    /// The two-sweep Prim loop the fused one replaced, kept as its
+    /// reference.
+    fn mst_two_sweep(dist: &impl Fn(usize, usize) -> f64, g: usize) -> Vec<f64> {
+        let mut in_tree = vec![false; g];
+        let mut best = vec![f64::INFINITY; g];
+        in_tree[0] = true;
+        for (j, b) in best.iter_mut().enumerate().skip(1) {
+            *b = dist(0, j);
+        }
+        let mut weights = Vec::with_capacity(g - 1);
+        for _ in 1..g {
+            let mut next = usize::MAX;
+            let mut w = f64::INFINITY;
+            for j in 0..g {
+                if !in_tree[j] && (next == usize::MAX || best[j].total_cmp(&w).is_lt()) {
+                    next = j;
+                    w = best[j];
+                }
+            }
+            in_tree[next] = true;
+            weights.push(w);
+            for j in 0..g {
+                if !in_tree[j] {
+                    let d = dist(next, j);
+                    if d < best[j] {
+                        best[j] = d;
+                    }
+                }
+            }
+        }
+        weights
+    }
+
+    #[test]
+    fn fused_prim_matches_two_sweep_including_ties() {
+        let mut rng = SmallRng::seed_from_u64(4);
+        for case in 0..300 {
+            let g = rng.gen_range(2..40);
+            // Few distinct weights force exact ties (and equal-weight
+            // vertices competing for the same pick); some cases add
+            // infinite edges.
+            let levels = if case % 2 == 0 { 3 } else { 1000 };
+            let mut m = vec![0.0; g * g];
+            for i in 0..g {
+                for j in i + 1..g {
+                    let mut w = rng.gen_range(1..=levels) as f64 / 4.0;
+                    if case % 7 == 3 && rng.gen_range(0..5) == 0 {
+                        w = f64::INFINITY;
+                    }
+                    m[i * g + j] = w;
+                    m[j * g + i] = w;
+                }
+            }
+            let dist = |i: usize, j: usize| m[i * g + j];
+            let fused: Vec<u64> = mst_edge_weights(&dist, g)
+                .iter()
+                .map(|w| w.to_bits())
+                .collect();
+            let two: Vec<u64> = mst_two_sweep(&dist, g)
+                .iter()
+                .map(|w| w.to_bits())
+                .collect();
+            assert_eq!(fused, two, "case {case} (g = {g})");
+        }
     }
 }

@@ -9,7 +9,12 @@
 //!   **merge**: pairs with `ST' − ST ≥ Dc` are merged in random order with
 //!   cascading re-checks (a merge changes the representative, which can
 //!   enable further merges), exactly as §5.2 case 3.2a describes. Pairs with
-//!   `Dc > ST'` can never merge and are kept as-is (case 3.1).
+//!   `Dc > ST'` can never merge and are kept as-is (case 3.1). A merged
+//!   group can hold members farther than `ST'/2` from its new mean; in
+//!   [`crate::BuildMode::Strict`] the construction's repair then evicts and
+//!   re-inserts them, so Def. 8 holds at `ST'` as it does after a build.
+//!   (Earlier versions skipped that repair; snapshot loading repairs the
+//!   bases they saved, see [`crate::OnexBase`]'s `close_def8`.)
 //!
 //! Both directions mutate the per-length [`LengthSlab`]s in place (splits
 //! rebuild a fresh slab per source group; merges combine sum rows and
@@ -19,7 +24,7 @@
 
 use crate::build::Assigner;
 use crate::store::LengthSlab;
-use crate::{BuildMode, OnexBase, OnexError, Result};
+use crate::{OnexBase, OnexError, Result};
 use onex_dist::ed_normalized;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -53,8 +58,9 @@ pub(crate) fn refine_impl(base: &OnexBase, st_prime: f64) -> Result<OnexBase> {
     let mut rng = SmallRng::seed_from_u64(base.config().seed ^ st_prime.to_bits());
 
     // Per-length slabs, cloned out of the store (ascending by length, the
-    // same order the old per-length map iterated).
-    let refined: Vec<LengthSlab> = base
+    // same order the old per-length map iterated), each closed like
+    // construction closes a length: Strict repair, then finalization.
+    let out: Vec<LengthSlab> = base
         .store()
         .slabs()
         .iter()
@@ -63,24 +69,22 @@ pub(crate) fn refine_impl(base: &OnexBase, st_prime: f64) -> Result<OnexBase> {
             if st_prime < st {
                 split_groups(&dataset, slab, &new_config)
             } else {
-                merge_groups(slab, st, st_prime, &mut rng)
+                // A merge moves means, so in Strict mode members it carried
+                // beyond `√L · ST'/2` are evicted and re-inserted. Groups no
+                // merge touched keep their finalization, and Def. 8 at
+                // `ST < ST'`, so they pass through.
+                let merged = merge_groups(slab, st, st_prime, &mut rng);
+                Assigner::reopen(st_prime, merged)
+                    .finish(&dataset, &new_config)
+                    .0
             }
         })
         .collect();
-
-    let mut out = Vec::with_capacity(refined.len());
-    for mut slab in refined {
-        let radius = new_config
-            .window
-            .resolve(slab.subseq_len(), slab.subseq_len());
-        slab.finalize_all(&dataset, radius);
-        out.push(slab);
-    }
     Ok(OnexBase::assemble(
         dataset,
         base.normalizer().copied(),
         new_config,
-        out,
+        crate::base::without_reuse(out),
     ))
 }
 
@@ -99,10 +103,7 @@ fn split_groups(
         for &(r, _) in slab.members(local) {
             asg.assign(dataset, r);
         }
-        if config.build_mode == BuildMode::Strict {
-            asg.enforce_invariant(dataset);
-        }
-        out.extend_from(asg.slab);
+        out.extend_from(asg.finish(dataset, config).0);
     }
     out
 }
@@ -156,8 +157,9 @@ fn merge_groups(mut slab: LengthSlab, st: f64, st_prime: f64, rng: &mut SmallRng
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::build::{def8_violation, strict_limit};
     use crate::engine::{Explorer, QueryOptions};
-    use crate::{MatchMode, OnexConfig};
+    use crate::{BuildMode, MatchMode, OnexConfig};
     use onex_dist::ed_normalized;
     use onex_ts::synth;
 
@@ -217,6 +219,116 @@ mod tests {
             any_multi,
             "distinct classes should not all merge at ST'=0.6"
         );
+    }
+
+    /// Merging as earlier versions refined: no Strict repair after the
+    /// merges, every group finalized as it stands.
+    fn merged_without_repair(base: &OnexBase, st_prime: f64) -> OnexBase {
+        let mut config = *base.config();
+        config.st = st_prime;
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ st_prime.to_bits());
+        let slabs = base
+            .store()
+            .slabs()
+            .iter()
+            .cloned()
+            .map(|slab| {
+                let mut slab = merge_groups(slab, base.config().st, st_prime, &mut rng);
+                let radius = config.window.resolve(slab.subseq_len(), slab.subseq_len());
+                for local in 0..slab.group_count() {
+                    slab.finalize(local, base.dataset(), radius);
+                }
+                slab
+            })
+            .collect();
+        OnexBase::assemble(
+            base.dataset().clone(),
+            base.normalizer().copied(),
+            config,
+            crate::base::without_reuse(slabs),
+        )
+    }
+
+    /// Def. 8 recomputed from the data: every member of a multi-member
+    /// group lies within `√L · ST/2` of its representative.
+    fn assert_def8(base: &OnexBase) {
+        let st = base.config().st;
+        for g in base.groups().filter(|g| g.member_count() > 1) {
+            let limit = strict_limit(g.len_of_members(), st);
+            for &(m, _) in g.members() {
+                let d = onex_dist::ed(base.dataset().subseq_unchecked(m), g.representative());
+                assert!(d <= limit, "{m:?} at raw ED {d}, limit {limit}");
+            }
+        }
+    }
+
+    #[test]
+    fn strict_merge_keeps_every_member_within_the_new_limit() {
+        let b = base(0.1);
+        // Without the repair these merges carry members past `ST'/2`.
+        assert!(merged_without_repair(&b, 0.6)
+            .validate_invariants()
+            .is_err());
+        let r = refine_impl(&b, 0.6).unwrap();
+        assert_def8(&r);
+        r.validate_invariants().unwrap();
+    }
+
+    #[test]
+    fn merge_close_matches_every_group_reference() {
+        // Reopening the merged slab checks and re-finalizes only the merged
+        // groups; re-checking and re-finalizing every group gives the same
+        // slab, in both build modes.
+        let d = synth::sine_mix(6, 16, 2, 21);
+        for mode in [BuildMode::Strict, BuildMode::Paper] {
+            let cfg = OnexConfig {
+                build_mode: mode,
+                ..OnexConfig::with_st(0.1)
+            };
+            let b = OnexBase::build(&d, cfg).unwrap();
+            for st_prime in [0.25, 0.6] {
+                let new_cfg = OnexConfig {
+                    st: st_prime,
+                    ..cfg
+                };
+                let mut rng = SmallRng::seed_from_u64(cfg.seed ^ st_prime.to_bits());
+                for slab in b.store().slabs() {
+                    let merged = merge_groups(slab.clone(), 0.1, st_prime, &mut rng);
+                    let every = Assigner::with_slab(st_prime, merged.clone())
+                        .finish_every_group(b.dataset(), &new_cfg);
+                    let (touched, _) =
+                        Assigner::reopen(st_prime, merged).finish(b.dataset(), &new_cfg);
+                    assert_eq!(
+                        touched,
+                        every,
+                        "{mode:?} ST' {st_prime} len {}",
+                        slab.subseq_len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unrepaired_strict_merge_from_an_earlier_version_loads_repaired() {
+        let b = base(0.1);
+        let saved = merged_without_repair(&b, 0.6);
+        let loaded = crate::snapshot::decode(&crate::snapshot::encode(&saved)).unwrap();
+        loaded.validate_invariants().unwrap();
+        assert_def8(&loaded);
+        assert_eq!(loaded.stats().subsequences, saved.stats().subsequences);
+        // Only the lengths that break Def. 8 are repaired.
+        let (before, after) = (saved.store().slabs(), loaded.store().slabs());
+        assert_eq!(before.len(), after.len());
+        let mut repaired = 0;
+        for (s, l) in before.iter().zip(after) {
+            if def8_violation(s, 0.6).is_some() {
+                repaired += 1;
+            } else {
+                assert_eq!(s, l, "length {}", s.subseq_len());
+            }
+        }
+        assert!(repaired > 0);
     }
 
     #[test]

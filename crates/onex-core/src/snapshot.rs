@@ -49,10 +49,17 @@
 //!   like `Dc` and the SP-Space they are deterministic functions of the
 //!   word planes and are rebuilt on load.
 //!
+//! Every version is audited after decoding against every check of
+//! [`OnexBase::validate_invariants`] but Def. 8. A
+//! [`crate::BuildMode::Strict`] base that an earlier version saved with
+//! members beyond `√L · ST/2` (its refine merges skipped the Strict repair)
+//! is repaired on load, length by length, instead of rejected.
+//!
 //! The file-level entry points are [`crate::engine::Explorer::save`] /
 //! [`crate::engine::Explorer::load`]; the free functions [`save`]/[`load`]
 //! remain as deprecated shims over the same codec.
 
+use crate::base::without_reuse;
 use crate::store::LengthSlab;
 use crate::{OnexBase, OnexConfig, OnexError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -154,13 +161,16 @@ pub fn decode(buf: &[u8]) -> Result<OnexBase> {
 
 /// Post-decode deep audit: a snapshot can be bit-intact (the CRC passes)
 /// yet structurally wrong — stale sums, out-of-order member lists, sketch
-/// planes that drifted from their sources. Every decode path runs
-/// [`OnexBase::validate_invariants`] after the structural parse and
-/// reports failures as [`OnexError::SnapshotCorrupt`], so loading is a
-/// trust boundary in both senses: transport (CRC) and logic (invariants).
+/// planes that drifted from their sources. Every decode path runs every
+/// check of [`OnexBase::validate_invariants`] but Def. 8 after the
+/// structural parse and reports failures as [`OnexError::SnapshotCorrupt`],
+/// so loading is a trust boundary in both senses: transport (CRC) and logic
+/// (invariants). Def. 8 is then repaired, not checked: earlier versions
+/// saved Strict bases that break it, and those still load
+/// ([`OnexBase::close_def8`]).
 fn validated(base: OnexBase) -> Result<OnexBase> {
-    match base.validate_invariants() {
-        Ok(()) => Ok(base),
+    match base.validate_structure() {
+        Ok(()) => Ok(base.close_def8()),
         Err(e) => Err(OnexError::SnapshotCorrupt(format!(
             "post-load validation failed: {e}"
         ))),
@@ -418,7 +428,12 @@ fn decode_payload_grouped(buf: &mut &[u8]) -> Result<OnexBase> {
             buf.remaining()
         )));
     }
-    Ok(OnexBase::assemble(dataset, norm, config, slabs))
+    Ok(OnexBase::assemble(
+        dataset,
+        norm,
+        config,
+        without_reuse(slabs),
+    ))
 }
 
 /// Decodes `count` member entries (series, start, raw ED), validating each
@@ -699,7 +714,12 @@ fn decode_payload_columnar(buf: &mut &[u8], version: u8) -> Result<OnexBase> {
             buf.remaining()
         )));
     }
-    Ok(OnexBase::assemble(dataset, norm, config, slabs))
+    Ok(OnexBase::assemble(
+        dataset,
+        norm,
+        config,
+        without_reuse(slabs),
+    ))
 }
 
 /// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), table-driven with the

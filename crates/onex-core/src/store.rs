@@ -229,9 +229,18 @@ impl LengthSlab {
     /// construction), written into `out` to avoid allocation in hot loops.
     pub fn mean_into(&self, local: usize, out: &mut Vec<f64>) {
         out.clear();
+        out.resize(self.len, 0.0);
+        self.write_mean(local, out);
+    }
+
+    /// [`LengthSlab::mean_into`] over a row the caller already sized to
+    /// [`LengthSlab::subseq_len`].
+    pub(crate) fn write_mean(&self, local: usize, out: &mut [f64]) {
+        debug_assert_eq!(out.len(), self.len);
         let inv = 1.0 / self.members[local].len() as f64;
-        let row = self.row(local);
-        out.extend(self.sums[row].iter().map(|s| s * inv));
+        for (m, s) in out.iter_mut().zip(&self.sums[self.row(local)]) {
+            *m = s * inv;
+        }
     }
 
     /// The frozen representative row of group `local` — the raw slab row,
@@ -464,14 +473,6 @@ impl LengthSlab {
         self.rep_words[local] = self.word_spec.word_of(&sketch);
         self.env_radius[local] = envelope_radius as u32;
         self.finalized[local] = true;
-    }
-
-    /// Finalizes every group of the slab (shared by construction,
-    /// refinement and the touched-length maintenance paths).
-    pub fn finalize_all(&mut self, dataset: &Dataset, envelope_radius: usize) {
-        for local in 0..self.group_count() {
-            self.finalize(local, dataset, envelope_radius);
-        }
     }
 
     /// Removes and returns members of group `local` whose raw ED to the
@@ -1091,8 +1092,7 @@ impl GroupStore {
             .flat_map(|slab| (0..slab.group_count()).map(move |local| Group::new(slab, local)))
     }
 
-    /// Consumes the store into its per-length slabs (maintenance paths
-    /// rebuild touched lengths and reassemble).
+    /// Consumes the store into its per-length slabs, ascending by length.
     pub(crate) fn into_slabs(self) -> Vec<LengthSlab> {
         self.slabs
     }

@@ -325,8 +325,10 @@ pub(crate) fn replay(path: &Path, base: OnexBase, epoch: u64) -> Result<Recovery
             )));
         }
         base = match op {
-            WalOp::Append(series) => maintain::append_series_impl(base, series)?.0,
-            WalOp::Remove(index) => maintain::remove_series_impl(base, index)?.0,
+            WalOp::Append(series) => {
+                maintain::append_series_impl(base.into_predecessor(), series)?.0
+            }
+            WalOp::Remove(index) => maintain::remove_series_impl(base.into_predecessor(), index)?.0,
             WalOp::Refine(st) => refine::refine_impl(&base, st)?,
         };
         epoch = record_epoch;

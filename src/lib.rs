@@ -356,10 +356,6 @@
 //! cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --trace    # per-layer run
 //! ```
 //!
-//! The `rep_scan` criterion bench times the columnar rep scan, envelope
-//! tier, sketch tier, and the scalar-vs-blocked kernels in isolation
-//! (`cargo bench --no-run` compiles in CI so the benches can't rot).
-//!
 //! ## Correctness tooling
 //!
 //! Two audit layers guard the invariants the result-equivalence story
