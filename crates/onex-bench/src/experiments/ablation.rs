@@ -1,4 +1,4 @@
-//! **Ablations** — the design choices DESIGN.md calls out, measured
+//! **Ablations** — the engine's design choices, measured
 //! individually on one mid-sized workload (ECG-like). Not a paper
 //! table/figure; this quantifies the §5.3 optimizations and our
 //! under-specification resolutions.

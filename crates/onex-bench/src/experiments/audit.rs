@@ -1,5 +1,5 @@
 //! **Deep invariant audit** — the runtime half of the correctness tooling
-//! (the static half is the `onex-audit` lint pass). Builds each evaluation
+//! (the static half is the rustc/clippy lint set). Builds each evaluation
 //! dataset at the harness scale and drives the base through the trust
 //! boundaries where logic corruption could hide from the snapshot CRC:
 //!

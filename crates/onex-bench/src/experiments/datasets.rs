@@ -44,5 +44,5 @@ pub fn run(ctx: &Ctx) {
         ]);
     }
     table.finish(ctx.csv());
-    println!("\n(classes and morphology are preserved by the scaled stand-ins; DESIGN.md §4)");
+    println!("\n(classes and morphology are preserved by the scaled stand-ins)");
 }

@@ -1,4 +1,5 @@
-//! One module per paper table/figure (the experiment index of DESIGN.md §6).
+//! One module per paper table/figure of §6, plus the ablation, audit, chaos
+//! and perf runs.
 
 pub mod ablation;
 pub mod audit;
@@ -65,7 +66,7 @@ impl Ctx {
 
 impl Ctx {
     /// The experiment-wide ONEX configuration: ST = 0.2 (the paper's §6.3
-    /// choice) and the 10% Sakoe-Chiba window stated in EXPERIMENTS.md.
+    /// choice) and the 10% Sakoe-Chiba window, the default band.
     /// `paa_width` is 8 rather than the default 16: the synthetic paper
     /// datasets have short series (subsequence lengths mostly ≤ 24), and
     /// the sketch tier deliberately skips lengths it cannot reduce — a

@@ -63,7 +63,7 @@ pub fn run(ctx: &Ctx) {
             // both tables (Standard DTW is not length-restricted). The
             // error is the difference between "the DTW between the solution
             // and the query" (paper wording: raw DTW, the cross-length
-            // ranking metric — DESIGN.md §5) and the exact solution's,
+            // ranking metric across lengths) and the exact solution's,
             // clamped to [0, 1] since accuracy cannot go negative.
             let exact = oracle.best_match_any(&q.values).expect("non-empty");
             let err = |raw: f64| (raw - exact.raw_dtw).clamp(0.0, 1.0);

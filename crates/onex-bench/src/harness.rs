@@ -24,7 +24,7 @@ pub struct Query {
 /// series with the dataset's seed reproduces the dataset as a prefix, and
 /// the tail series come from the same classes/prototypes without appearing
 /// in the data — the harness analogue of Fu et al.'s "take the query out of
-/// the dataset" (DESIGN.md §5.9).
+/// the dataset".
 ///
 /// `seed` must be the seed the dataset was generated with. In-dataset
 /// queries are slices of the (normalized) dataset; out-of-dataset queries

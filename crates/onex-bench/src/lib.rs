@@ -1,17 +1,17 @@
 //! # onex-bench — experiment harness
 //!
 //! Regenerates every table and figure of the paper's evaluation (§6) via the
-//! `repro` binary (`cargo run -p onex-bench --release --bin repro -- all`),
-//! plus Criterion micro-benchmarks for the kernels.
+//! `repro` binary (`cargo run -p onex-bench --release --bin repro -- all`).
+//! Wall-clock claims go through the standalone `benchmark/` package instead
+//! (see `benchmark/README.md`).
 //!
 //! The harness runs the *same code paths* as the paper at a configurable
 //! fraction of the original dataset sizes (`--scale`, default 0.05): the
-//! synthetic stand-ins (DESIGN.md §4) keep each dataset's shape and
+//! synthetic stand-ins (`onex_ts::synth`) keep each dataset's shape and
 //! morphology, so the comparative results — which system wins, by roughly
 //! what factor, where the curves bend — are preserved even though absolute
 //! wall-clock numbers differ from the authors' 2016 testbed. Every
-//! experiment prints the paper's reference values next to the measured ones
-//! and EXPERIMENTS.md records a captured run.
+//! experiment prints the paper's reference values next to the measured ones.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -254,7 +254,8 @@ impl OnexBase {
     }
 
     /// Deep structural audit of the whole base — the runtime half of the
-    /// correctness tooling (the static half is the `onex-audit` lint pass).
+    /// correctness tooling (the static half is the compiler's lint set; see
+    /// the `onex` crate docs).
     ///
     /// Where the snapshot CRC detects *transport* corruption, this detects
     /// *logic* corruption: state that is internally decodable but violates

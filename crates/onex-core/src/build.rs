@@ -556,7 +556,7 @@ mod tests {
         assert_eq!(total, d.subseq_count(&cfg.decomposition));
         // no duplicates across groups of the same length
         for slab in &built {
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for local in 0..slab.group_count() {
                 for &(r, _) in slab.members(local) {
                     assert!(seen.insert(r), "duplicate member {r:?}");

@@ -45,7 +45,7 @@ pub enum BuildMode {
 /// decomposition. The DTW window defaults to the classic 10% Sakoe-Chiba
 /// band used by the UCR-suite line of work the paper builds on; pass
 /// [`Window::Unconstrained`] for the paper's unconstrained-DTW theory setting
-/// (EXPERIMENTS.md states the setting used by every experiment).
+/// (every `onex-bench` experiment runs with the 10% band).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct OnexConfig {
     /// Similarity threshold `ST` (on normalized distances; data is expected
@@ -176,9 +176,7 @@ impl OnexConfig {
 
     /// Validates the configuration.
     pub fn validate(&self) -> Result<()> {
-        if !self.st.is_finite() || self.st <= 0.0 {
-            return Err(OnexError::InvalidThreshold(self.st));
-        }
+        check_st(self.st)?;
         self.decomposition.validate()?;
         if self.explore_top_groups == 0 {
             return Err(OnexError::InvalidRefinement(
@@ -199,12 +197,21 @@ impl OnexConfig {
     }
 }
 
+/// A similarity threshold must be finite and > 0, wherever it is given.
+pub(crate) fn check_st(st: f64) -> Result<()> {
+    if !st.is_finite() || st <= 0.0 {
+        return Err(OnexError::InvalidThreshold(st));
+    }
+    Ok(())
+}
+
 /// The `ONEX_QUERY_THREADS` override, parsed once per process. Malformed or
 /// non-positive values fall back to the config default (auto falls through
 /// to the machine's parallelism) with a warning on stderr rather than being
 /// silently accepted or erroring: the variable is an operational convenience
 /// for CI matrices, not part of the config contract, but a typo'd value in a
 /// serving deployment must be diagnosable from the logs.
+#[expect(clippy::print_stderr, reason = "logs a malformed ONEX_QUERY_THREADS")]
 fn env_query_threads() -> Option<usize> {
     static CACHE: std::sync::OnceLock<Option<usize>> = std::sync::OnceLock::new();
     *CACHE.get_or_init(|| match std::env::var("ONEX_QUERY_THREADS") {

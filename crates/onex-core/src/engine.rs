@@ -69,11 +69,14 @@
 //! assert_eq!(resp.result.recommendations().unwrap().len(), 3);
 //! ```
 
+use crate::config::check_st;
 use crate::query::similarity::{self, SearchCtx, SearchParams};
 use crate::query::{recommend_impl, seasonal_all_impl, seasonal_for_series_impl};
 use crate::symindex::NavNode;
 use crate::{fault, maintain, refine, snapshot, wal};
-use crate::{GroupId, Match, MatchMode, OnexBase, OnexConfig, OnexError, Result, SeasonalResult};
+use crate::{
+    GroupId, IoError, Match, MatchMode, OnexBase, OnexConfig, OnexError, Result, SeasonalResult,
+};
 use crate::{SimilarityDegree, ThresholdRange};
 use onex_dist::Window;
 use onex_ts::{Dataset, Decomposition, TimeSeries};
@@ -132,14 +135,16 @@ where
     });
     slots
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|p| p.into_inner())
-                // thread::scope re-raises any worker panic before we get
-                // here, so every index was claimed by fetch_add and filled.
-                // audit:allow(no-panic-in-lib): infallible, see above
-                .expect("every slot filled")
-        })
+        .map(
+            // thread::scope re-raises any worker panic before we get here,
+            // so every index was claimed by fetch_add and filled.
+            #[expect(clippy::expect_used, reason = "infallible, see above")]
+            |slot| {
+                slot.into_inner()
+                    .unwrap_or_else(|p| p.into_inner())
+                    .expect("every slot filled")
+            },
+        )
         .collect()
 }
 
@@ -234,10 +239,14 @@ impl QueryOptions {
     }
 
     /// Resolves these options against a base's configuration into concrete
-    /// search parameters.
-    fn resolve(&self, config: &OnexConfig) -> SearchParams {
+    /// search parameters. An `st` override gets the same check as
+    /// [`OnexConfig::st`].
+    fn resolve(&self, config: &OnexConfig) -> Result<SearchParams> {
+        if let Some(st) = self.st {
+            check_st(st)?;
+        }
         let defaults = SearchParams::from_config(config, self.st);
-        SearchParams {
+        Ok(SearchParams {
             window: self.window.unwrap_or(defaults.window),
             lb_pruning: self.lb_pruning,
             cascade: self.cascade,
@@ -258,7 +267,7 @@ impl QueryOptions {
                 .map(|n| n.max(1))
                 .unwrap_or(defaults.query_threads),
             ..defaults
-        }
+        })
     }
 }
 
@@ -793,18 +802,18 @@ impl Explorer {
     /// load. On any error the install is skipped and the live base is
     /// untouched.
     fn journal(&self, op: &wal::WalOp, next_epoch: u64) -> Result<()> {
-        {
-            let mut wal = self.wal.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some(writer) = wal.as_mut() {
-                writer.append(op, next_epoch)?;
-            }
-        }
+        let mut wal = self.wal.lock().unwrap_or_else(|p| p.into_inner());
+        let Some(writer) = wal.as_mut() else {
+            return Ok(());
+        };
+        writer.append(op, next_epoch)?;
         if fault::probe(fault::HOT_SWAP, 0).is_some() {
             // Simulated crash after the journal fsync and before the
             // epoch swap: the op is durable but was never served.
-            // audit:allow(io-error-context): memory-only boundary — no path exists; the epoch being installed is the context
-            return Err(OnexError::Io(format!(
-                "installing epoch {next_epoch}: injected fault before hot-swap"
+            return Err(OnexError::Io(IoError::new(
+                "installing op journaled in wal",
+                writer.path(),
+                format_args!("injected fault before hot-swap to epoch {next_epoch}"),
             )));
         }
         Ok(())
@@ -957,6 +966,7 @@ impl Explorer {
     /// signature of an append interrupted by a crash — is dropped), the
     /// recovered base is re-validated, and the journal stays attached so
     /// further ops keep journaling.
+    #[expect(clippy::print_stderr, reason = "logs a dropped torn WAL tail")]
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
         let (base, epoch) = snapshot::read_snapshot(path)?;
@@ -1120,21 +1130,14 @@ impl PinnedExplorer {
         mode: MatchMode,
         options: QueryOptions,
     ) -> Result<Match> {
-        let resp = run_search(
+        run_search(
             &self.base,
             self.epoch,
             Instant::now(),
             &options,
-            |base, p, ctx| {
-                similarity::best_match(base, values, mode, p, ctx).map(QueryResult::BestMatch)
-            },
-        )?;
-        match resp.result {
-            QueryResult::BestMatch(m) => Ok(m),
-            // The closure above constructs QueryResult::BestMatch directly.
-            // audit:allow(no-panic-in-lib): variant fixed by construction
-            _ => unreachable!("BestMatch search produces BestMatch result"),
-        }
+            |base, p, ctx| similarity::best_match(base, values, mode, p, ctx),
+        )
+        .map(|(m, _)| m)
     }
 
     /// Class I convenience: top-`k` matches, on the pinned generation.
@@ -1145,19 +1148,14 @@ impl PinnedExplorer {
         k: usize,
         options: QueryOptions,
     ) -> Result<Vec<Match>> {
-        let resp = run_search(
+        run_search(
             &self.base,
             self.epoch,
             Instant::now(),
             &options,
-            |base, p, ctx| similarity::top_k(base, values, mode, k, p, ctx).map(QueryResult::TopK),
-        )?;
-        match resp.result {
-            QueryResult::TopK(ms) => Ok(ms),
-            // The closure above constructs QueryResult::TopK directly.
-            // audit:allow(no-panic-in-lib): variant fixed by construction
-            _ => unreachable!("TopK search produces TopK result"),
-        }
+            |base, p, ctx| similarity::top_k(base, values, mode, k, p, ctx),
+        )
+        .map(|(ms, _)| ms)
     }
 
     /// Class I convenience: range query, on the pinned generation.
@@ -1168,22 +1166,14 @@ impl PinnedExplorer {
         verify: bool,
         options: QueryOptions,
     ) -> Result<Vec<Match>> {
-        let resp = run_search(
+        run_search(
             &self.base,
             self.epoch,
             Instant::now(),
             &options,
-            |base, p, ctx| {
-                similarity::within_threshold(base, values, mode, verify, p, ctx)
-                    .map(QueryResult::WithinThreshold)
-            },
-        )?;
-        match resp.result {
-            QueryResult::WithinThreshold(ms) => Ok(ms),
-            // The closure above constructs QueryResult::WithinThreshold directly.
-            // audit:allow(no-panic-in-lib): variant fixed by construction
-            _ => unreachable!("WithinThreshold search produces WithinThreshold result"),
-        }
+            |base, p, ctx| similarity::within_threshold(base, values, mode, verify, p, ctx),
+        )
+        .map(|(ms, _)| ms)
     }
 
     /// Class II convenience: data-driven seasonal patterns.
@@ -1245,7 +1235,11 @@ fn exec(base: &OnexBase, epoch: u64, request: QueryRequest) -> Result<QueryRespo
             mode,
             options,
         } => run_search(base, epoch, started, &options, |base, p, ctx| {
-            similarity::best_match(base, &values, mode, p, ctx).map(QueryResult::BestMatch)
+            similarity::best_match(base, &values, mode, p, ctx)
+        })
+        .map(|(m, stats)| QueryResponse {
+            result: QueryResult::BestMatch(m),
+            stats,
         }),
         QueryRequest::TopK {
             values,
@@ -1253,7 +1247,11 @@ fn exec(base: &OnexBase, epoch: u64, request: QueryRequest) -> Result<QueryRespo
             k,
             options,
         } => run_search(base, epoch, started, &options, |base, p, ctx| {
-            similarity::top_k(base, &values, mode, k, p, ctx).map(QueryResult::TopK)
+            similarity::top_k(base, &values, mode, k, p, ctx)
+        })
+        .map(|(ms, stats)| QueryResponse {
+            result: QueryResult::TopK(ms),
+            stats,
         }),
         QueryRequest::WithinThreshold {
             values,
@@ -1262,7 +1260,10 @@ fn exec(base: &OnexBase, epoch: u64, request: QueryRequest) -> Result<QueryRespo
             options,
         } => run_search(base, epoch, started, &options, |base, p, ctx| {
             similarity::within_threshold(base, &values, mode, verify, p, ctx)
-                .map(QueryResult::WithinThreshold)
+        })
+        .map(|(ms, stats)| QueryResponse {
+            result: QueryResult::WithinThreshold(ms),
+            stats,
         }),
         QueryRequest::Seasonal {
             scope,
@@ -1306,19 +1307,16 @@ fn exec(base: &OnexBase, epoch: u64, request: QueryRequest) -> Result<QueryRespo
     }
 }
 
-/// Runs one Class I search with thread-local scratch, stamping uniform
-/// stats on the way out. No lock is held anywhere on this path.
-fn run_search<F>(
+/// Runs one Class I search with thread-local scratch, returning its
+/// payload with uniform stats. No lock is held anywhere on this path.
+fn run_search<T>(
     base: &OnexBase,
     epoch: u64,
     started: Instant,
     options: &QueryOptions,
-    body: F,
-) -> Result<QueryResponse>
-where
-    F: FnOnce(&OnexBase, &SearchParams, &mut SearchCtx) -> Result<QueryResult>,
-{
-    let params = options.resolve(base.config());
+    body: impl FnOnce(&OnexBase, &SearchParams, &mut SearchCtx) -> Result<T>,
+) -> Result<(T, QueryStats)> {
+    let params = options.resolve(base.config())?;
     SCRATCH.with(|cell| {
         // Taken out rather than borrowed: a body that panics mid-scan
         // leaves a fresh context behind, not half-updated scratch.
@@ -1335,7 +1333,7 @@ where
             epoch,
         );
         cell.replace(ctx);
-        outcome.map(|result| QueryResponse { result, stats })
+        outcome.map(|result| (result, stats))
     })
 }
 
@@ -1376,12 +1374,12 @@ fn run_batch(
         threads,
         || (),
         |(), i| {
+            // fetch_add hands each index to exactly one worker.
+            #[expect(clippy::expect_used, reason = "infallible, see above")]
             let request = requests[i]
                 .lock()
                 .unwrap_or_else(|p| p.into_inner())
                 .take()
-                // fetch_add hands each index to exactly one worker.
-                // audit:allow(no-panic-in-lib): infallible, see above
                 .expect("each request taken once");
             exec(base, epoch, request)
         },
@@ -1740,6 +1738,53 @@ mod tests {
 
         let rec = e.query(QueryRequest::recommend(None, None)).unwrap();
         assert_eq!(rec.result.recommendations().unwrap().len(), 3);
+    }
+
+    #[test]
+    fn oversized_k_and_top_mean_all_and_bad_st_overrides_are_rejected() {
+        let e = explorer();
+        let q = e.base().dataset().series()[0].values()[2..14].to_vec();
+        let base = e.base();
+        let subseqs = base.dataset().subseq_count(&base.config().decomposition);
+        let groups = base.length_indexes().map(|ix| ix.group_count()).max();
+        let top = |n| QueryOptions {
+            explore_top_groups: Some(n),
+            ..QueryOptions::default()
+        };
+        let opts = QueryOptions::default();
+        for mode in [MatchMode::Any, MatchMode::Exact(12)] {
+            // A `k` past the subsequence count keeps every candidate.
+            assert_eq!(
+                e.top_k(&q, mode, usize::MAX, opts).unwrap(),
+                e.top_k(&q, mode, subseqs, opts).unwrap()
+            );
+            // A `top` past the group count descends into every group.
+            let all = top(groups.unwrap());
+            assert_eq!(
+                e.best_match(&q, mode, top(usize::MAX)).unwrap(),
+                e.best_match(&q, mode, all).unwrap()
+            );
+            assert_eq!(
+                e.top_k(&q, mode, 5, top(usize::MAX)).unwrap(),
+                e.top_k(&q, mode, 5, all).unwrap()
+            );
+        }
+        // The `st` override gets the check `OnexConfig::st` has.
+        for st in [f64::NAN, -1.0, 0.0, f64::INFINITY] {
+            let opts = QueryOptions::with_st(st);
+            let errs = [
+                e.best_match(&q, MatchMode::Any, opts).unwrap_err(),
+                e.top_k(&q, MatchMode::Any, 3, opts).unwrap_err(),
+                e.within_threshold(&q, MatchMode::Any, true, opts)
+                    .unwrap_err(),
+            ];
+            for err in errs {
+                assert!(
+                    matches!(err, OnexError::InvalidThreshold(x) if x.to_bits() == st.to_bits()),
+                    "st {st}: {err:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use onex_ts::TsError;
 use std::fmt;
+use std::path::{Path, PathBuf};
 
 /// Errors produced by the ONEX system.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,9 +41,10 @@ pub enum OnexError {
     SnapshotCorrupt(String),
     /// Refinement was requested with an unusable target threshold.
     InvalidRefinement(String),
-    /// A lifecycle file operation (snapshot save/load, CSV ingest) failed at
-    /// the filesystem level; the message carries the path and OS error.
-    Io(String),
+    /// A lifecycle file operation (snapshot save/load, WAL journaling)
+    /// failed at the filesystem level; the error names the operation, the
+    /// path and the cause.
+    Io(IoError),
     /// Admission control shed this query: the engine already had
     /// [`crate::OnexConfig::max_inflight`] queries in flight. Overload is
     /// surfaced immediately and typed — never queued unboundedly — so a
@@ -85,7 +87,7 @@ impl fmt::Display for OnexError {
             OnexError::Ts(e) => write!(f, "substrate error: {e}"),
             OnexError::SnapshotCorrupt(msg) => write!(f, "snapshot corrupt: {msg}"),
             OnexError::InvalidRefinement(msg) => write!(f, "invalid refinement: {msg}"),
-            OnexError::Io(msg) => write!(f, "i/o error: {msg}"),
+            OnexError::Io(e) => write!(f, "i/o error: {e}"),
             OnexError::Overloaded { max_inflight } => write!(
                 f,
                 "query shed by admission control: {max_inflight} queries already in flight"
@@ -94,6 +96,39 @@ impl fmt::Display for OnexError {
                 write!(f, "invariant violation: {msg}")
             }
         }
+    }
+}
+
+/// A failed file operation. It can only be built through [`IoError::new`],
+/// which takes the path, so no I/O error reaches a caller without naming
+/// the file it failed on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct IoError {
+    op: &'static str,
+    path: PathBuf,
+    detail: String,
+}
+
+impl IoError {
+    /// `op` says what was being done ("reading snapshot"), `detail` why it
+    /// failed (usually the OS error).
+    pub fn new(op: &'static str, path: &Path, detail: impl fmt::Display) -> Self {
+        IoError {
+            op,
+            path: path.to_path_buf(),
+            detail: detail.to_string(),
+        }
+    }
+
+    /// The file the operation failed on.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl fmt::Display for IoError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {}: {}", self.op, self.path.display(), self.detail)
     }
 }
 

@@ -50,6 +50,8 @@ pub const WAL_APPEND: &str = "wal-append";
 pub const WORKER_SPAWN: &str = "worker-spawn";
 /// Fault point: maintenance install, after the WAL append and before the
 /// epoch hot-swap (the journaled op is durable but was never served).
+/// Probed only while a WAL is attached: without one there is no journaled
+/// op to recover.
 pub const HOT_SWAP: &str = "hot-swap";
 
 /// Every registered fault point, in probe order. The chaos harness
@@ -107,6 +109,7 @@ pub(crate) enum Injection {
 
 /// Whether any fault plan is armed. Reads `ONEX_FAULTS` on first call;
 /// afterwards this is a single relaxed atomic load.
+#[expect(clippy::print_stderr, reason = "logs a malformed ONEX_FAULTS")]
 pub fn armed() -> bool {
     ENV_INIT.get_or_init(|| {
         if let Ok(spec) = std::env::var("ONEX_FAULTS") {
@@ -179,10 +182,10 @@ pub(crate) fn probe(point: &str, payload_len: usize) -> Option<Injection> {
 
 /// Panics the calling query worker if a `worker-spawn` trigger fires —
 /// the injection the catch-and-retry degradation path is tested against.
+// This panic exists to prove the worker-isolation path contains it.
+#[expect(clippy::panic, reason = "deliberate chaos injection")]
 pub(crate) fn maybe_panic_worker() {
     if probe(WORKER_SPAWN, 0).is_some() {
-        // This panic exists to prove the worker-isolation path contains it.
-        // audit:allow(no-panic-in-lib): deliberate chaos injection
         panic!("injected fault: {WORKER_SPAWN}");
     }
 }

@@ -73,6 +73,21 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 mod base;
 mod config;
@@ -99,9 +114,9 @@ pub use engine::{
     Explorer, ExplorerBuilder, PinnedExplorer, QueryOptions, QueryRequest, QueryResponse,
     QueryResult, QueryStats, SeasonalScope,
 };
-pub use error::OnexError;
+pub use error::{IoError, OnexError};
 pub use group::{Group, GroupId};
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 pub use query::SimilarityQuery;
 pub use query::{Match, MatchMode, SeasonalResult};
 pub use spspace::{SimilarityDegree, SpSpace, ThresholdRange};

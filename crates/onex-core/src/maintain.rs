@@ -603,7 +603,7 @@ mod tests {
         let d = synth::sine_mix(4, 10, 2, 5);
         let base = OnexBase::build(&d, OnexConfig::default()).unwrap();
         let extra = TimeSeries::new((0..10).map(|i| (i as f64 * 0.3).cos()).collect()).unwrap();
-        #[allow(deprecated)]
+        #[allow(deprecated, reason = "tests the deprecated shim")]
         let (a, ia) = append_series(base.clone(), extra.clone()).unwrap();
         let (b, ib) = append_series_impl(base.to_predecessor(), extra).unwrap();
         assert_eq!(ia, ib);

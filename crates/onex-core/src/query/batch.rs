@@ -24,7 +24,7 @@ pub struct BatchQuery {
     pub st: Option<f64>,
 }
 
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 impl BatchQuery {
     /// Convenience constructor for an any-length query with default ST.
     pub fn any(values: Vec<f64>) -> Self {
@@ -53,7 +53,7 @@ impl BatchQuery {
     since = "0.2.0",
     note = "use Explorer::query with QueryRequest::Batch — same fan-out, all query classes, uniform stats"
 )]
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 pub fn best_match_batch(
     base: &OnexBase,
     queries: &[BatchQuery],
@@ -70,7 +70,7 @@ pub fn best_match_batch(
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
+#[allow(deprecated, reason = "tests the deprecated shim")]
 mod tests {
     use super::*;
     use crate::{OnexConfig, OnexError};

@@ -21,14 +21,14 @@ mod recommend;
 mod seasonal;
 pub(crate) mod similarity;
 
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 pub use batch::{best_match_batch, BatchQuery};
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 pub use recommend::recommend;
 pub use seasonal::SeasonalResult;
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 pub use seasonal::{seasonal_all, seasonal_for_series};
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 pub use similarity::SimilarityQuery;
 pub use similarity::{Match, MatchMode, QueryStats};
 

@@ -230,7 +230,6 @@ mod tests {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
         let got = fan_stripes(4, |w| {
-            // audit:allow(no-panic-in-lib): test-only injected panic.
             assert!(w != 2, "injected worker panic");
             w
         });

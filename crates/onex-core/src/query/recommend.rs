@@ -93,7 +93,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
+    #[allow(deprecated, reason = "tests the deprecated shim")]
     fn deprecated_shim_matches_impl() {
         let b = base();
         assert_eq!(

@@ -204,7 +204,7 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
+    #[allow(deprecated, reason = "tests the deprecated shim")]
     fn deprecated_shims_match_impls() {
         let b = seasonal_base();
         assert_eq!(

@@ -501,7 +501,7 @@ enum Candidate {
 /// see [`best_in_group`] — which is the one deliberate heuristic change
 /// from the pre-cascade engine; it is what makes the walk's trajectory
 /// independent of pruning.)
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn cascade_eval(
     q: &[f64],
     cand: &[f64],
@@ -690,7 +690,7 @@ pub(crate) fn top_k(
     // lower bound strictly exceeds it cannot enter the final top-k (ties
     // are never pruned, preserving the subseq tie-break), so the truncated
     // ranking is identical to the unpruned scan's.
-    let mut topk_keys: Vec<f64> = Vec::with_capacity(k);
+    let mut topk_keys: Vec<f64> = Vec::new();
     for len in length_schedule(base, q.len(), mode) {
         let Some(idx) = base.length_index(len) else {
             if matches!(mode, MatchMode::Exact(_)) {
@@ -705,6 +705,9 @@ pub(crate) fn top_k(
         let scale = 2.0 * q.len().max(len) as f64;
         let qualified = choices.iter().any(|c| c.raw / scale <= p.st / 2.0);
         let units: usize = choices.iter().map(|c| slab.members(c.local).len()).sum();
+        // Room for the keys this length can still add: never more than `k`
+        // in all, nor than it has members, so an oversized `k` means "all".
+        topk_keys.reserve_exact(units.min(k - topk_keys.len()));
         let workers = plan_workers(p.query_threads, p.budgeted(), units);
         let striped_ok = workers > 1
             && topk_members_striped(
@@ -965,7 +968,7 @@ pub(crate) fn within_threshold(
 /// no counters charged — when a worker panicked; the caller must then run
 /// the sequential twin for this length, which reproduces the striped
 /// scan's would-be answer exactly.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn range_scan_striped(
     base: &OnexBase,
     q: &[f64],
@@ -1226,7 +1229,9 @@ fn best_reps(
         // A worker panicked: fall through to the sequential scan below,
         // which recomputes the choice set from scratch.
     }
-    let mut kept: Vec<RepChoice> = Vec::with_capacity(top + 1);
+    // At most `top + 1` choices, and never more than there are groups: an
+    // oversized `top` means "all".
+    let mut kept: Vec<RepChoice> = Vec::with_capacity(top.min(idx.group_count()) + 1);
     let mut cutoff = f64::INFINITY;
     let sym = symindex_applicable(sym, q, slab, p);
     let mut masked = false;
@@ -1311,7 +1316,7 @@ fn best_reps(
 ///
 /// Returns `None` — with `ctx.degraded` latched, no counters charged —
 /// when a worker panicked; the caller must then run the sequential twin.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn best_reps_striped(
     q: &[f64],
     idx: &LengthIndex,
@@ -1330,7 +1335,7 @@ fn best_reps_striped(
     let results = fan_stripes(workers, |w| {
         let mut wctx = SearchCtx::default();
         // Local finalists as (raw, global median-sum rank, choice).
-        let mut kept: Vec<(f64, usize, RepChoice)> = Vec::with_capacity(top + 1);
+        let mut kept: Vec<(f64, usize, RepChoice)> = Vec::with_capacity(top.min(order.len()) + 1);
         let mut masked = false;
         for rank in (w..order.len()).step_by(workers) {
             let local = order[rank];
@@ -1430,7 +1435,7 @@ fn best_reps_striped(
 /// its pre-call state, nothing appended to `all` and no counters charged
 /// — when a worker panicked; the caller must then run the sequential twin
 /// for this length.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn topk_members_striped(
     base: &OnexBase,
     q: &[f64],
@@ -1522,7 +1527,7 @@ fn topk_members_striped(
 /// consecutive non-improvements (an LB-pruned member is provably
 /// non-improving, so pruning never changes the walk's trajectory).
 /// `exhaustive_group_search` evaluates every member.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn best_in_group(
     base: &OnexBase,
     q: &[f64],
@@ -1670,7 +1675,7 @@ pub struct SimilarityQuery<'a> {
     pub stats: QueryStats,
 }
 
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 impl<'a> SimilarityQuery<'a> {
     /// Creates a processor bound to a base.
     pub fn new(base: &'a OnexBase) -> Self {
@@ -1721,7 +1726,7 @@ impl<'a> SimilarityQuery<'a> {
 }
 
 #[cfg(test)]
-#[allow(deprecated)]
+#[allow(deprecated, reason = "tests the deprecated shim")]
 mod tests {
     use super::*;
     use crate::{OnexBase, OnexConfig};
@@ -1910,7 +1915,7 @@ mod tests {
         let ms = proc
             .within_threshold(&q, MatchMode::Any, Some(0.2), true)
             .unwrap();
-        let lengths: std::collections::HashSet<u32> = ms.iter().map(|m| m.subseq.len).collect();
+        let lengths: std::collections::BTreeSet<u32> = ms.iter().map(|m| m.subseq.len).collect();
         assert!(lengths.len() > 1, "expected matches across lengths");
     }
 

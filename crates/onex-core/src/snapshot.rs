@@ -61,7 +61,7 @@
 
 use crate::base::without_reuse;
 use crate::store::LengthSlab;
-use crate::{OnexBase, OnexConfig, OnexError, Result};
+use crate::{IoError, OnexBase, OnexConfig, OnexError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use onex_dist::Window;
 use onex_ts::normalize::MinMaxParams;
@@ -198,7 +198,7 @@ pub fn decode_with_epoch(buf: &[u8]) -> Result<(OnexBase, u64)> {
             }
             let (body, footer) = buf.split_at(buf.len() - 4);
             // split_at over a >= FOOTER_OVERHEAD buffer yields exactly 4 bytes.
-            // audit:allow(no-panic-in-lib): infallible, see above
+            #[expect(clippy::expect_used, reason = "infallible, see above")]
             let stored = u32::from_le_bytes(footer.try_into().expect("4 bytes"));
             let computed = crc32(body);
             if stored != computed {
@@ -257,9 +257,7 @@ pub(crate) fn write_snapshot(base: &OnexBase, epoch: u64, path: impl AsRef<Path>
     use std::io::Write;
 
     let path = path.as_ref();
-    let io = |what: &str, e: std::io::Error| {
-        OnexError::Io(format!("{what} snapshot {}: {e}", path.display()))
-    };
+    let io = |op: &'static str, e: std::io::Error| OnexError::Io(IoError::new(op, path, e));
     let bytes = encode_with_epoch(base, epoch);
     let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
     tmp_name.push(".tmp");
@@ -267,9 +265,10 @@ pub(crate) fn write_snapshot(base: &OnexBase, epoch: u64, path: impl AsRef<Path>
     match crate::fault::probe(crate::fault::SNAPSHOT_WRITE, bytes.len()) {
         None => {}
         Some(crate::fault::Injection::Fail) => {
-            return Err(OnexError::Io(format!(
-                "writing snapshot {}: injected fault before write",
-                path.display()
+            return Err(OnexError::Io(IoError::new(
+                "writing snapshot",
+                path,
+                "injected fault before write",
             )));
         }
         Some(crate::fault::Injection::Torn { keep }) => {
@@ -280,18 +279,22 @@ pub(crate) fn write_snapshot(base: &OnexBase, epoch: u64, path: impl AsRef<Path>
                 let _ = f.write_all(&bytes[..keep]);
                 let _ = f.sync_all();
             }
-            return Err(OnexError::Io(format!(
-                "writing snapshot {}: injected fault tore the write after {keep} of {} bytes",
-                path.display(),
-                bytes.len()
+            return Err(OnexError::Io(IoError::new(
+                "writing snapshot",
+                path,
+                format_args!(
+                    "injected fault tore the write after {keep} of {} bytes",
+                    bytes.len()
+                ),
             )));
         }
     }
-    let mut file = File::create(&tmp).map_err(|e| io("creating temp file for", e))?;
-    file.write_all(&bytes).map_err(|e| io("writing", e))?;
-    file.sync_all().map_err(|e| io("syncing", e))?;
+    let mut file = File::create(&tmp).map_err(|e| io("creating temp file for snapshot", e))?;
+    file.write_all(&bytes)
+        .map_err(|e| io("writing snapshot", e))?;
+    file.sync_all().map_err(|e| io("syncing snapshot", e))?;
     drop(file);
-    std::fs::rename(&tmp, path).map_err(|e| io("renaming temp file into", e))?;
+    std::fs::rename(&tmp, path).map_err(|e| io("renaming temp file into snapshot", e))?;
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         // Best-effort: make the rename itself durable. Some platforms
         // refuse to fsync a directory handle; the data is already synced.
@@ -312,20 +315,22 @@ pub(crate) fn read_snapshot(path: impl AsRef<Path>) -> Result<(OnexBase, u64)> {
     let path = path.as_ref();
     if let Ok(meta) = std::fs::metadata(path) {
         if meta.is_dir() {
-            return Err(OnexError::Io(format!(
-                "reading snapshot {}: path is a directory, not a snapshot file",
-                path.display()
+            return Err(OnexError::Io(IoError::new(
+                "reading snapshot",
+                path,
+                "path is a directory, not a snapshot file",
             )));
         }
         if meta.len() == 0 {
-            return Err(OnexError::Io(format!(
-                "reading snapshot {}: file is empty (zero bytes)",
-                path.display()
+            return Err(OnexError::Io(IoError::new(
+                "reading snapshot",
+                path,
+                "file is empty (zero bytes)",
             )));
         }
     }
     let data = std::fs::read(path)
-        .map_err(|e| OnexError::Io(format!("reading snapshot {}: {e}", path.display())))?;
+        .map_err(|e| OnexError::Io(IoError::new("reading snapshot", path, e)))?;
     decode_with_epoch(&data)
 }
 
@@ -992,7 +997,7 @@ fn get_u8(buf: &mut &[u8]) -> Result<u8> {
 fn get_u32(buf: &mut &[u8]) -> Result<u32> {
     Ok(u32::from_le_bytes(
         // take() just returned exactly 4 bytes.
-        // audit:allow(no-panic-in-lib): infallible, see above
+        #[expect(clippy::expect_used, reason = "infallible, see above")]
         take(buf, 4)?.try_into().expect("4 bytes"),
     ))
 }
@@ -1000,7 +1005,7 @@ fn get_u32(buf: &mut &[u8]) -> Result<u32> {
 fn get_i32(buf: &mut &[u8]) -> Result<i32> {
     Ok(i32::from_le_bytes(
         // take() just returned exactly 4 bytes.
-        // audit:allow(no-panic-in-lib): infallible, see above
+        #[expect(clippy::expect_used, reason = "infallible, see above")]
         take(buf, 4)?.try_into().expect("4 bytes"),
     ))
 }
@@ -1008,7 +1013,7 @@ fn get_i32(buf: &mut &[u8]) -> Result<i32> {
 fn get_u64(buf: &mut &[u8]) -> Result<u64> {
     Ok(u64::from_le_bytes(
         // take() just returned exactly 8 bytes.
-        // audit:allow(no-panic-in-lib): infallible, see above
+        #[expect(clippy::expect_used, reason = "infallible, see above")]
         take(buf, 8)?.try_into().expect("8 bytes"),
     ))
 }
@@ -1016,7 +1021,7 @@ fn get_u64(buf: &mut &[u8]) -> Result<u64> {
 fn get_f64(buf: &mut &[u8]) -> Result<f64> {
     Ok(f64::from_le_bytes(
         // take() just returned exactly 8 bytes.
-        // audit:allow(no-panic-in-lib): infallible, see above
+        #[expect(clippy::expect_used, reason = "infallible, see above")]
         take(buf, 8)?.try_into().expect("8 bytes"),
     ))
 }
@@ -1088,11 +1093,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("onex_snapshot_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("legacy-save.onex");
-        #[allow(deprecated)]
+        #[allow(deprecated, reason = "tests the deprecated shim")]
         save(&b, &path).unwrap();
         let written = std::fs::read(&path).unwrap();
         assert_eq!(&written[..], &encode_with_epoch(&b, 0)[..]);
-        #[allow(deprecated)]
+        #[allow(deprecated, reason = "tests the deprecated shim")]
         let r = load(&path).unwrap();
         assert_eq!(b, r);
         std::fs::remove_file(&path).ok();

@@ -734,7 +734,7 @@ impl LengthSlab {
     /// blocks (the v3 columnar payload) — no per-group row copying. Member
     /// lists must be ED-sorted; the envelope planes and every PAA sketch
     /// are rebuilt from the representative rows and the dataset.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one per snapshot plane")]
     pub(crate) fn from_bulk_parts(
         dataset: &Dataset,
         len: usize,
@@ -793,7 +793,7 @@ impl LengthSlab {
     /// full-resolution envelope planes are rebuilt (they are not stored in
     /// any snapshot version). Sizes must already be validated by the
     /// decoder.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "one per snapshot plane")]
     pub(crate) fn from_bulk_parts_with_sketches(
         len: usize,
         paa_width: usize,

@@ -36,7 +36,7 @@
 //! [`OnexBase::validate_invariants`] before it is served.
 
 use crate::snapshot::crc32;
-use crate::{maintain, refine, OnexBase, OnexError, Result};
+use crate::{maintain, refine, IoError, OnexBase, OnexError, Result};
 use onex_ts::TimeSeries;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -151,9 +151,11 @@ fn decode_payload(payload: &[u8], at: usize) -> Result<(u64, WalOp)> {
             let values: Vec<f64> = rest
                 .chunks_exact(8)
                 .map(|c| {
-                    // chunks_exact(8) yields exactly 8 bytes per chunk.
-                    // audit:allow(no-panic-in-lib): infallible, see above
-                    f64::from_le_bytes(c.try_into().expect("8-byte chunk"))
+                    f64::from_le_bytes(
+                        // chunks_exact(8) yields exactly 8 bytes per chunk.
+                        #[expect(clippy::expect_used, reason = "infallible, see above")]
+                        c.try_into().expect("8-byte chunk"),
+                    )
                 })
                 .collect();
             let series = match label {
@@ -249,10 +251,10 @@ pub(crate) fn decode_log(bytes: &[u8]) -> Result<DecodedLog> {
             });
         }
         let payload = &bytes[frame_start + 4..frame_start + 4 + len];
+        // The slice below is exactly 4 bytes by construction.
+        #[expect(clippy::expect_used, reason = "infallible, see above")]
         let stored_bytes: [u8; 4] = bytes[frame_start + 4 + len..end]
             .try_into()
-            // The slice above is exactly 4 bytes by construction.
-            // audit:allow(no-panic-in-lib): infallible, see above
             .expect("4-byte crc slice");
         let stored = u32::from_le_bytes(stored_bytes);
         if crc32(payload) != stored {
@@ -305,8 +307,8 @@ pub(crate) struct Recovery {
 /// base must pass [`OnexBase::validate_invariants`] before it is returned
 /// — recovery never serves a structurally damaged base.
 pub(crate) fn replay(path: &Path, base: OnexBase, epoch: u64) -> Result<Recovery> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| OnexError::Io(format!("reading wal {}: {e}", path.display())))?;
+    let bytes =
+        std::fs::read(path).map_err(|e| OnexError::Io(IoError::new("reading wal", path, e)))?;
     let decoded = decode_log(&bytes)?;
     let mut base = base;
     let mut epoch = epoch;
@@ -361,33 +363,35 @@ impl WalWriter {
     /// past it is a dropped torn tail and must not survive into the next
     /// append.
     pub fn open(path: &Path, resume_len: u64) -> Result<Self> {
-        let io = |what: &str, e: std::io::Error| {
-            OnexError::Io(format!("{what} wal {}: {e}", path.display()))
-        };
+        let io = |op: &'static str, e: std::io::Error| OnexError::Io(IoError::new(op, path, e));
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(false)
             .open(path)
-            .map_err(|e| io("opening", e))?;
+            .map_err(|e| io("opening wal", e))?;
         if resume_len >= HEADER_LEN as u64 {
-            file.set_len(resume_len).map_err(|e| io("truncating", e))?;
+            file.set_len(resume_len)
+                .map_err(|e| io("truncating wal", e))?;
         } else {
-            file.set_len(0).map_err(|e| io("truncating", e))?;
+            file.set_len(0).map_err(|e| io("truncating wal", e))?;
         }
         let mut writer = WalWriter {
             file,
             path: path.to_path_buf(),
         };
         if resume_len < HEADER_LEN as u64 {
-            writer.write_sync(&[MAGIC[0], MAGIC[1], MAGIC[2], MAGIC[3], VERSION], "header")?;
+            writer.write_sync(
+                &[MAGIC[0], MAGIC[1], MAGIC[2], MAGIC[3], VERSION],
+                "writing header of wal",
+            )?;
         } else {
             use std::io::Seek;
             writer
                 .file
                 .seek(std::io::SeekFrom::End(0))
-                .map_err(|e| io("seeking", e))?;
+                .map_err(|e| io("seeking wal", e))?;
         }
         Ok(writer)
     }
@@ -403,21 +407,25 @@ impl WalWriter {
     /// injection writes a seeded prefix of the record and fails, exactly
     /// the damage [`decode_log`]'s torn-tail rule recovers from.
     pub fn append(&mut self, op: &WalOp, epoch: u64) -> Result<()> {
+        const APPENDING: &str = "appending record to wal";
         let record = encode_record(op, epoch);
         match crate::fault::probe(crate::fault::WAL_APPEND, record.len()) {
-            None => self.write_sync(&record, "appending record to"),
-            Some(crate::fault::Injection::Fail) => Err(OnexError::Io(format!(
-                "appending record to wal {}: injected fault before write",
-                self.path.display()
+            None => self.write_sync(&record, APPENDING),
+            Some(crate::fault::Injection::Fail) => Err(OnexError::Io(IoError::new(
+                APPENDING,
+                &self.path,
+                "injected fault before write",
             ))),
             Some(crate::fault::Injection::Torn { keep }) => {
                 let keep = keep.min(record.len());
-                let _ = self.write_sync(&record[..keep], "appending record to");
-                Err(OnexError::Io(format!(
-                    "appending record to wal {}: injected fault tore the append after \
-                     {keep} of {} bytes",
-                    self.path.display(),
-                    record.len()
+                let _ = self.write_sync(&record[..keep], APPENDING);
+                Err(OnexError::Io(IoError::new(
+                    APPENDING,
+                    &self.path,
+                    format_args!(
+                        "injected fault tore the append after {keep} of {} bytes",
+                        record.len()
+                    ),
                 )))
             }
         }
@@ -426,21 +434,20 @@ impl WalWriter {
     /// Truncates the journal back to an empty (header-only) log — called
     /// after a successful snapshot checkpoint folds every record in.
     pub fn reset(&mut self) -> Result<()> {
+        let io =
+            |op: &'static str, e: std::io::Error| OnexError::Io(IoError::new(op, &self.path, e));
         self.file
             .set_len(HEADER_LEN as u64)
-            .map_err(|e| OnexError::Io(format!("truncating wal {}: {e}", self.path.display())))?;
+            .map_err(|e| io("truncating wal", e))?;
         use std::io::Seek;
         self.file
             .seek(std::io::SeekFrom::End(0))
-            .map_err(|e| OnexError::Io(format!("seeking wal {}: {e}", self.path.display())))?;
-        self.file
-            .sync_all()
-            .map_err(|e| OnexError::Io(format!("syncing wal {}: {e}", self.path.display())))
+            .map_err(|e| io("seeking wal", e))?;
+        self.file.sync_all().map_err(|e| io("syncing wal", e))
     }
 
-    fn write_sync(&mut self, bytes: &[u8], what: &str) -> Result<()> {
-        let io =
-            |e: std::io::Error| OnexError::Io(format!("{what} wal {}: {e}", self.path.display()));
+    fn write_sync(&mut self, bytes: &[u8], op: &'static str) -> Result<()> {
+        let io = |e: std::io::Error| OnexError::Io(IoError::new(op, &self.path, e));
         self.file.write_all(bytes).map_err(io)?;
         self.file.sync_all().map_err(io)
     }

@@ -64,11 +64,11 @@ impl DtwBuffer {
     ///
     /// Returns 0 when both inputs are empty and ∞ when exactly one is (no
     /// warping path exists).
+    // dist_full returns None only when a row exceeds the cutoff, which an
+    // infinite cutoff can never trigger.
+    #[expect(clippy::expect_used, reason = "infallible, see above")]
     pub fn dist(&mut self, x: &[f64], y: &[f64], window: Window) -> f64 {
         self.dist_full(x, y, window, f64::INFINITY, None)
-            // dist_full returns None only when a row exceeds the cutoff,
-            // which an infinite cutoff can never trigger.
-            // audit:allow(no-panic-in-lib): infallible, see above
             .expect("infinite cutoff never abandons")
     }
 

@@ -146,9 +146,9 @@ impl Envelope {
             }
             // Index i itself was pushed this iteration and survives the
             // eviction passes, so both deques hold at least one element.
-            // audit:allow(no-panic-in-lib): infallible, see above
+            #[expect(clippy::expect_used, reason = "infallible, see above")]
             let max_at = *max_q.front().expect("window never empty");
-            // audit:allow(no-panic-in-lib): infallible, see above
+            #[expect(clippy::expect_used, reason = "infallible, see above")]
             let min_at = *min_q.front().expect("window never empty");
             self.upper.push(y[max_at]);
             self.lower.push(y[min_at]);

@@ -62,6 +62,21 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 pub mod dtw;
 pub mod ed;

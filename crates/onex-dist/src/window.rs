@@ -5,7 +5,8 @@ use serde::{Deserialize, Serialize};
 /// The paper's theoretical results (Lemmas 1–2) are stated for unconstrained
 /// DTW; the UCR-suite optimizations it adopts in §5.3 assume a Sakoe-Chiba
 /// band. Every kernel in this crate is parameterized so experiments can state
-/// and vary the setting explicitly (see EXPERIMENTS.md).
+/// and vary the setting explicitly; every experiment of `onex-bench` uses the
+/// [`Default`] band.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Window {
     /// No constraint: any monotone path through the matrix.
@@ -45,8 +46,8 @@ impl Window {
 }
 
 impl Default for Window {
-    /// The repository-wide experimental default, stated in EXPERIMENTS.md:
-    /// the classic 10% Sakoe-Chiba band.
+    /// The repository-wide experimental default: the classic 10%
+    /// Sakoe-Chiba band.
     fn default() -> Self {
         Window::Ratio(0.1)
     }

@@ -14,7 +14,7 @@
 //!   archive files can be swapped in for the bundled generators.
 //! * [`synth`] — class-structured synthetic generators standing in for the six
 //!   UCR datasets of the paper's evaluation plus StarLightCurves (shapes and
-//!   morphologies documented per generator; see DESIGN.md §4).
+//!   morphologies documented per generator).
 //! * [`stats`] — summary statistics used by the experiment harness.
 //!
 //! All randomness is driven by caller-supplied seeds (`rand::SmallRng`) so that
@@ -22,6 +22,21 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::float_cmp,
+        clippy::print_stdout,
+        clippy::print_stderr
+    )
+)]
 
 mod dataset;
 mod error;

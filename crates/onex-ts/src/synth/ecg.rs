@@ -50,8 +50,11 @@ pub fn ecg(n_series: usize, len: usize, seed: u64) -> Dataset {
         let abnormal = i % 3 == 2;
         let label = if abnormal { 2 } else { 1 };
         let values = beat(len, abnormal, &mut rng);
+        #[expect(
+            clippy::expect_used,
+            reason = "generator values are finite by construction"
+        )]
         series.push(
-            // audit:allow(no-panic-in-lib): generator values are finite by construction
             TimeSeries::with_label(values, label).expect("generator output is always finite"),
         );
     }

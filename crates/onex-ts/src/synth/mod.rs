@@ -1,6 +1,6 @@
 //! Synthetic, class-structured dataset generators standing in for the UCR
-//! archive datasets of the paper's evaluation (DESIGN.md §4 records the
-//! substitution).
+//! archive datasets of the paper's evaluation, which this repository does
+//! not bundle.
 //!
 //! Each generator produces series with the *shape* (N × n) the paper used —
 //! inferred from Table 4's subsequence counts — and a morphology that matches
@@ -33,7 +33,8 @@ pub use walks::{random_walk, sine_mix};
 use crate::Dataset;
 
 /// The datasets of the paper's evaluation section, with the series-count ×
-/// series-length shapes used there (derived from Table 4; see DESIGN.md §4).
+/// series-length shapes used there (derived from Table 4's subsequence
+/// counts).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PaperDataset {
     /// ItalyPowerDemand: 67 series × 24 samples (daily power profiles).
@@ -130,6 +131,8 @@ impl PaperDataset {
     /// on top (§6.1), which `OnexBase::build` does. The raw generators
     /// remain available individually for workloads that want the
     /// pre-curation level/amplitude variation.
+    // Generators emit finite, non-constant values by construction.
+    #[expect(clippy::expect_used, reason = "infallible, see above")]
     pub fn generate_with_shape(&self, n_series: usize, len: usize, seed: u64) -> Dataset {
         let raw = match self {
             PaperDataset::ItalyPower => italy_power(n_series, len, seed),
@@ -141,8 +144,6 @@ impl PaperDataset {
             PaperDataset::StarLightCurves => star_light_curves(n_series, len, seed),
             PaperDataset::NearDuplicates => near_duplicates(n_series, len, seed),
         };
-        // Generators emit finite, non-constant values by construction.
-        // audit:allow(no-panic-in-lib): infallible, see above
         crate::normalize::z_normalize_dataset(&raw).expect("generator output is valid")
     }
 }
@@ -158,7 +159,7 @@ mod tests {
     fn shapes_match_table4_subsequence_counts() {
         // Table 4 reports total subsequence counts; our inferred shapes must
         // regenerate them (with the per-dataset length-range conventions the
-        // numbers imply; see DESIGN.md §4).
+        // numbers imply).
         let half = |n: usize| n * (n - 1) / 2; // lengths 2..=n
         let (n, l) = PaperDataset::ItalyPower.shape();
         assert_eq!(n * half(l), 18_492);

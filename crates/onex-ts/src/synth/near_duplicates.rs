@@ -38,7 +38,10 @@ pub fn near_duplicates(n_series: usize, len: usize, seed: u64) -> Dataset {
                     + 0.005 * gaussian(&mut rng)
             })
             .collect();
-        // audit:allow(no-panic-in-lib): generator values are finite by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "generator values are finite by construction"
+        )]
         series.push(TimeSeries::with_label(values, cluster as i32 + 1).expect("finite"));
     }
     Dataset::new("NearDuplicates", series)

@@ -46,8 +46,11 @@ pub fn italy_power(n_series: usize, len: usize, seed: u64) -> Dataset {
         }
         let mut values = smooth(&values, 1);
         add_noise(&mut values, 0.015, &mut rng);
+        #[expect(
+            clippy::expect_used,
+            reason = "generator values are finite by construction"
+        )]
         series.push(
-            // audit:allow(no-panic-in-lib): generator values are finite by construction
             TimeSeries::with_label(values, label).expect("generator output is always finite"),
         );
     }

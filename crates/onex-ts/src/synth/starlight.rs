@@ -47,9 +47,12 @@ pub fn star_light_curves(n_series: usize, len: usize, seed: u64) -> Dataset {
             let at = rng.gen_range(0..len);
             values[at] += 0.3 * gaussian(&mut rng);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "generator values are finite by construction"
+        )]
         series.push(
             TimeSeries::with_label(values, class as i32 + 1)
-                // audit:allow(no-panic-in-lib): generator values are finite by construction
                 .expect("generator output is always finite"),
         );
     }

@@ -60,9 +60,12 @@ pub fn symbols(n_series: usize, len: usize, seed: u64) -> Dataset {
             .collect();
         let mut values = catmull_rom(&controls, len);
         add_noise(&mut values, 0.01, &mut rng);
+        #[expect(
+            clippy::expect_used,
+            reason = "generator values are finite by construction"
+        )]
         series.push(
             TimeSeries::with_label(values, class as i32 + 1)
-                // audit:allow(no-panic-in-lib): generator values are finite by construction
                 .expect("generator output is always finite"),
         );
     }

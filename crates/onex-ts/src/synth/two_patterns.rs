@@ -54,9 +54,12 @@ pub fn two_patterns(n_series: usize, len: usize, seed: u64) -> Dataset {
         let p2 = rng.gen_range(right_min..=right_max);
         embed(&mut values, p1, plen, a);
         embed(&mut values, p2, plen, b);
+        #[expect(
+            clippy::expect_used,
+            reason = "generator values are finite by construction"
+        )]
         series.push(
             TimeSeries::with_label(values, class as i32 + 1)
-                // audit:allow(no-panic-in-lib): generator values are finite by construction
                 .expect("generator output is always finite"),
         );
     }

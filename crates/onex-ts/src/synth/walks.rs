@@ -19,7 +19,10 @@ pub fn random_walk(n_series: usize, len: usize, seed: u64) -> Dataset {
                 v
             })
             .collect();
-        // audit:allow(no-panic-in-lib): generator values are finite by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "generator values are finite by construction"
+        )]
         series.push(TimeSeries::with_label(values, 0).expect("finite"));
     }
     Dataset::new("RandomWalk", series)
@@ -41,7 +44,10 @@ pub fn sine_mix(n_series: usize, len: usize, classes: usize, seed: u64) -> Datas
                 (std::f64::consts::TAU * freq * t + phase).sin() + 0.02 * gaussian(&mut rng)
             })
             .collect();
-        // audit:allow(no-panic-in-lib): generator values are finite by construction
+        #[expect(
+            clippy::expect_used,
+            reason = "generator values are finite by construction"
+        )]
         series.push(TimeSeries::with_label(values, class as i32 + 1).expect("finite"));
     }
     Dataset::new("SineMix", series)

@@ -8,8 +8,8 @@
 //!
 //! The paper evaluates on ItalyPower, ECG, Face, Wafer, Symbols, TwoPattern
 //! and StarLightCurves from this archive. The archive itself is not bundled
-//! (see DESIGN.md §4); drop real files next to the binary and load them here
-//! to run the experiments on the original data.
+//! ([`crate::synth`] stands in for it); drop real files next to the binary
+//! and load them here to run the experiments on the original data.
 
 use crate::{Dataset, Result, TimeSeries, TsError};
 use std::io::BufRead;

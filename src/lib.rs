@@ -361,35 +361,25 @@
 //! Two audit layers guard the invariants the result-equivalence story
 //! rests on — one static, one at runtime:
 //!
-//! **Static: the `onex-audit` lint pass.** A dependency-free analyzer
-//! (crate `onex-audit`, not part of this facade) with its own minimal
-//! Rust lexer — comments, strings and `#[cfg(test)]` regions are masked
-//! out before matching, so the rules see only live library code. It
-//! enforces: no `unwrap`/`expect`/`panic!`-family calls in non-test code
-//! of the result-affecting crates (**no-panic-in-lib**), no
-//! `HashMap`/`HashSet` where iteration order could leak into results
-//! (**determinism** — ordered containers only), no `as f32` narrowing or
-//! bare `==`/`!=` against float literals in the distance kernels and
-//! cascade (**float-discipline**), a `SAFETY:` comment within three lines
-//! of every `unsafe` (**safety-comments**), a `// sound:` soundness
-//! argument above every skip/prune/certify function of the symbolic word
-//! index (**symindex-soundness-comment**), a `// ordering:` justification
-//! above every atomic `Ordering::` use in library code
-//! (**atomic-ordering-comment** — lock-free code is exactly where a
-//! too-weak ordering passes tests on x86 and corrupts results on ARM),
-//! and every `QueryStats`
-//! counter present in the perf baseline writer (**counter-coverage**).
-//! Deliberate exceptions carry an inline allow directive naming the rule
-//! and the reason, e.g.
-//! `// audit:allow(no-panic-in-lib): slot is filled by construction` —
-//! an unjustified or unknown-rule directive is itself a violation. Run it (and its
-//! self-test, which seeds violations into a fixture tree and asserts
-//! every rule fires) with:
+//! **Static: the compiler's lint set.** `cargo clippy --all-targets --
+//! -D warnings` (a CI step) enforces the source rules, each where the
+//! compiler sees it:
 //!
-//! ```sh
-//! cargo run -p onex-audit -- check     # exits non-zero on any violation
-//! cargo run -p onex-audit -- selftest
-//! ```
+//! | rule | enforced by |
+//! |------|-------------|
+//! | no panics in library code | `#![cfg_attr(not(test), deny(clippy::{unwrap_used, expect_used, panic, todo, unimplemented, unreachable}))]` in the `lib.rs` of `onex-core`, `onex-dist` and `onex-ts` |
+//! | ordered containers only | root `clippy.toml` `disallowed-types`: `std::collections::HashMap` and `HashSet` |
+//! | f64 end to end | `clippy::float_cmp` in the same deny list; `f32` in `disallowed-types` |
+//! | no `unsafe` | `#![forbid(unsafe_code)]` in every library crate and this facade |
+//! | no stdout/stderr from libraries | `clippy::{print_stdout, print_stderr}` in the same deny list, plus `onex-baselines` |
+//! | every waiver justified | `#[expect(<lint>, reason = "…")]` at the waived site; `clippy::allow_attributes_without_reason` makes every `#[allow]` state its reason too |
+//! | every I/O error names its path | a type: [`OnexError::Io`] holds a [`core::IoError`], whose only constructor takes the path |
+//! | every `QueryStats` counter in the perf baseline | a test: `harness_smoke.rs` checks each counter is a key of every perf cell |
+//!
+//! Two conventions are checked in review, not by a tool: every atomic
+//! `Ordering::` use carries an `// ordering:` comment saying why that
+//! ordering suffices, and every symbolic-index skip carries a `// sound:`
+//! argument for why dropping the candidate cannot change results.
 //!
 //! **Runtime: the deep invariant validator.**
 //! [`OnexBase::validate_invariants`](core::OnexBase::validate_invariants)
@@ -441,8 +431,11 @@
 //!
 //! The most common types are re-exported at the crate root. The `repro`
 //! binary in `onex-bench` regenerates every table and figure of the paper's
-//! evaluation; see EXPERIMENTS.md for the recorded paper-vs-measured
-//! comparison.
+//! evaluation, printing the paper's reference values next to the measured
+//! ones.
+
+#![forbid(unsafe_code)]
+#![deny(clippy::allow_attributes_without_reason)]
 
 pub use onex_baselines as baselines;
 pub use onex_core as core;
@@ -450,7 +443,7 @@ pub use onex_dist as dist;
 pub use onex_ts as ts;
 
 pub use onex_baselines::{BaselineMatch, BruteForce, PaaSearch, Spring, Trillion};
-#[allow(deprecated)]
+#[allow(deprecated, reason = "part of the deprecated shim surface")]
 pub use onex_core::SimilarityQuery;
 pub use onex_core::{
     BuildMode, Explorer, ExplorerBuilder, Match, MatchMode, OnexBase, OnexConfig, OnexError,

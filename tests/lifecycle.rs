@@ -532,9 +532,9 @@ fn loading_a_directory_or_empty_snapshot_is_a_typed_io_error_with_the_path() {
     // A directory path.
     let err = Explorer::load(&dir).unwrap_err();
     match &err {
-        onex::OnexError::Io(msg) => {
-            assert!(msg.contains("directory"), "{msg}");
-            assert!(msg.contains(dir.to_str().unwrap()), "{msg}");
+        onex::OnexError::Io(e) => {
+            assert!(e.to_string().contains("directory"), "{e}");
+            assert_eq!(e.path(), dir);
         }
         other => panic!("expected Io, got {other:?}"),
     }
@@ -543,9 +543,9 @@ fn loading_a_directory_or_empty_snapshot_is_a_typed_io_error_with_the_path() {
     std::fs::write(&empty, []).unwrap();
     let err = snapshot::load(&empty).unwrap_err();
     match &err {
-        onex::OnexError::Io(msg) => {
-            assert!(msg.contains("empty"), "{msg}");
-            assert!(msg.contains(empty.to_str().unwrap()), "{msg}");
+        onex::OnexError::Io(e) => {
+            assert!(e.to_string().contains("empty"), "{e}");
+            assert_eq!(e.path(), empty);
         }
         other => panic!("expected Io, got {other:?}"),
     }
