@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Experiments: fig2 fig3 fig4 fig56 fig78 table1 table23 table4 ablation
-//! perf audit chaos datasets all
+//! audit chaos datasets all
 //!
 //! `chaos` runs the seeded fault-injection suite (`--seed` drives the
 //! torn-write prefixes): every registered fault point is fired, the crash
@@ -14,29 +14,18 @@
 //! byte-identical answers — the CI chaos leg runs it under a
 //! debug-assertions build.
 //! Flags: `--scale <f64>` (default 0.05), `--seed <u64>`, `--runs <usize>`,
-//! `--threads <usize>`, `--csv <dir>` (also write each table as CSV),
-//! `--json <path>` (perf: write the machine-readable counter baseline),
-//! `--check-against <path>` (perf: exit non-zero when best-match or top-k
-//! DTW or member evaluations regress >2x versus the checked-in baseline,
-//! the tier-0 sketch prune rate falls below half of it, or the symbolic
-//! word index certifies zero group skips on some dataset — the CI smoke;
-//! counters only, wall-clock belongs to `BENCHMARK.json`).
+//! `--threads <usize>`, `--csv <dir>` (also write each table as CSV).
 //!
-//! ```sh
-//! # regenerate the checked-in perf baseline (the baseline records its
-//! # scale/seed; the check refuses to compare across different flags)
-//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --json BENCH_pr10.json
-//! # CI regression gate (exact work counters)
-//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --runs 1 --check-against BENCH_pr10.json
-//! ```
+//! The exact work counters are not an experiment here: they are the tier-1
+//! test `crates/onex-bench/tests/work_counters.rs`, and wall-clock belongs
+//! to `BENCHMARK.json`.
 
 use onex_bench::experiments::{self, Ctx};
 
 fn usage() -> ! {
     eprintln!(
         "usage: repro <experiment> [--scale f] [--seed n] [--runs n] [--threads n] [--csv dir]\n\
-         \x20                     [--json path] [--check-against path]\n\
-         experiments: fig2 fig3 fig4 fig56 fig78 table1 table23 table4 ablation perf audit chaos datasets all"
+         experiments: fig2 fig3 fig4 fig56 fig78 table1 table23 table4 ablation audit chaos datasets all"
     );
     std::process::exit(2);
 }
@@ -58,8 +47,6 @@ fn main() {
             "--runs" => ctx.runs = value.parse().unwrap_or_else(|_| usage()),
             "--threads" => ctx.threads = value.parse().unwrap_or_else(|_| usage()),
             "--csv" => ctx.csv_dir = Some(value.into()),
-            "--json" => ctx.json_out = Some(value.into()),
-            "--check-against" => ctx.check_against = Some(value.into()),
             _ => usage(),
         }
         i += 2;
@@ -76,7 +63,6 @@ fn main() {
     let t0 = std::time::Instant::now();
     let mut ok = true;
     match exp.as_str() {
-        "perf" => ok = experiments::perf::run(&ctx),
         "fig2" => experiments::fig2::run(&ctx),
         "fig3" => experiments::fig3::run(&ctx),
         "fig4" => experiments::fig4::run(&ctx),
@@ -100,7 +86,6 @@ fn main() {
             experiments::table4::run(&ctx);
             experiments::fig78::run(&ctx);
             experiments::ablation::run(&ctx);
-            ok = experiments::perf::run(&ctx);
         }
         _ => usage(),
     }

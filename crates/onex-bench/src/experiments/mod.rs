@@ -1,5 +1,5 @@
-//! One module per paper table/figure of §6, plus the ablation, audit, chaos
-//! and perf runs.
+//! One module per paper table/figure of §6, plus the ablation, audit and
+//! chaos runs.
 
 pub mod ablation;
 pub mod audit;
@@ -10,7 +10,6 @@ pub mod fig3;
 pub mod fig4;
 pub mod fig56;
 pub mod fig78;
-pub mod perf;
 pub mod table1;
 pub mod table23;
 pub mod table4;
@@ -34,13 +33,6 @@ pub struct Ctx {
     /// When set, every experiment table is also written as
     /// `<dir>/<table>.csv` for plotting.
     pub csv_dir: Option<std::path::PathBuf>,
-    /// When set, the `perf` experiment writes its machine-readable
-    /// baseline (counters + latency per query class) to this file.
-    pub json_out: Option<std::path::PathBuf>,
-    /// When set, the `perf` experiment compares its fresh counters to
-    /// this checked-in baseline and fails on a >2x best-match DTW-eval
-    /// regression (the CI perf smoke).
-    pub check_against: Option<std::path::PathBuf>,
 }
 
 impl Default for Ctx {
@@ -51,8 +43,6 @@ impl Default for Ctx {
             runs: 5,
             threads: 4,
             csv_dir: None,
-            json_out: None,
-            check_against: None,
         }
     }
 }
@@ -70,16 +60,17 @@ impl Ctx {
     /// `paa_width` is 8 rather than the default 16: the synthetic paper
     /// datasets have short series (subsequence lengths mostly ≤ 24), and
     /// the sketch tier deliberately skips lengths it cannot reduce — a
-    /// width of 8 keeps the tier active across the benchmark's length
-    /// spread, which is what the tier-0 prune-rate gate measures. The
-    /// knob is accuracy-neutral, so every counter stays comparable across
-    /// widths; the resolved per-length widths are recorded in the
-    /// baseline.
-    /// `query_threads` is pinned to 1: the baseline's work counters are a
+    /// width of 8 keeps the tier active across the experiments' length
+    /// spread. The knob is accuracy-neutral but moves the tier counters,
+    /// so the golden work file (`tests/work_counters.txt`) is recorded at
+    /// this width.
+    /// `query_threads` is pinned to 1: the golden work counters are a
     /// machine-independent contract, and only the sequential scan keeps
     /// them exactly reproducible (the parallel scan's counters depend on
-    /// how fast the shared cutoff tightened). What threads buy is measured
-    /// by the repo benchmark's `par.*` and `engine.client_scaling_x`.
+    /// how fast the shared cutoff tightened). Pinned in the config, it
+    /// also beats an `ONEX_QUERY_THREADS` override. What threads buy is
+    /// measured by the repo benchmark's `par.*` and
+    /// `engine.client_scaling_x`.
     pub fn config(&self) -> OnexConfig {
         OnexConfig {
             st: 0.2,

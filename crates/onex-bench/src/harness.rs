@@ -88,23 +88,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// Median (p50, midpoint-interpolated for even counts); 0 for an empty
-/// slice. Used by the perf baseline's wall-clock gate — the median is
-/// what shared-runner noise perturbs least.
-pub fn p50(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        (sorted[mid - 1] + sorted[mid]) / 2.0
-    }
-}
-
 /// The paper's accuracy metric (§6.2): per-query error is the difference
 /// between the system's solution distance (normalized DTW to the query) and
 /// the exact brute-force solution distance; accuracy is
@@ -268,9 +251,5 @@ mod tests {
         assert!(fmt_secs(0.005).ends_with("ms"));
         assert!(fmt_secs(2.0).ends_with('s'));
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
-        assert_eq!(p50(&[]), 0.0);
-        assert_eq!(p50(&[5.0]), 5.0);
-        assert_eq!(p50(&[3.0, 1.0, 2.0]), 2.0);
-        assert_eq!(p50(&[4.0, 1.0, 3.0, 2.0]), 2.5);
     }
 }

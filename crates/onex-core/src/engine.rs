@@ -72,6 +72,7 @@
 use crate::config::check_st;
 use crate::query::similarity::{self, SearchCtx, SearchParams};
 use crate::query::{recommend_impl, seasonal_all_impl, seasonal_for_series_impl};
+pub use crate::stats::QueryStats;
 use crate::symindex::NavNode;
 use crate::{fault, maintain, refine, snapshot, wal};
 use crate::{
@@ -93,29 +94,24 @@ thread_local! {
     static SCRATCH: RefCell<SearchCtx> = RefCell::new(SearchCtx::default());
 }
 
-/// Work-stealing fan-out over scoped threads: runs `work(state, i)` for
-/// every `i in 0..n` across up to `threads` workers (each with its own
-/// `make_state()`), returning index-aligned results. `threads <= 1` runs
-/// sequentially on the caller's thread. Shared by [`QueryRequest::Batch`]
-/// and the deprecated `best_match_batch` shim so the pool mechanics live
-/// in exactly one place.
-pub(crate) fn fan_out<S, R, FS, FW>(n: usize, threads: usize, make_state: FS, work: FW) -> Vec<R>
+/// Work-stealing fan-out over scoped threads: runs `work(i)` for every
+/// `i in 0..n` across up to `threads` workers, returning index-aligned
+/// results. `threads <= 1` runs sequentially on the caller's thread.
+/// Drives [`QueryRequest::Batch`].
+fn fan_out<R, FW>(n: usize, threads: usize, work: FW) -> Vec<R>
 where
     R: Send,
-    FS: Fn() -> S + Sync,
-    FW: Fn(&mut S, usize) -> R + Sync,
+    FW: Fn(usize) -> R + Sync,
 {
     let threads = threads.max(1).min(n.max(1));
     if threads <= 1 {
-        let mut state = make_state();
-        return (0..n).map(|i| work(&mut state, i)).collect();
+        return (0..n).map(&work).collect();
     }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|| {
-                let mut state = make_state();
                 loop {
                     // ordering: Relaxed — a pure work-stealing ticket: the
                     // counter guards no other memory; result slots are
@@ -124,7 +120,7 @@ where
                     if i >= n {
                         break;
                     }
-                    let result = work(&mut state, i);
+                    let result = work(i);
                     // Each slot is written exactly once; a poisoned lock
                     // (sibling worker panicked mid-store) still holds
                     // either None or a complete result, so recover.
@@ -437,131 +433,6 @@ impl QueryRequest {
             len,
             options: QueryOptions::default(),
         }
-    }
-}
-
-/// Uniform per-response instrumentation: the same counters for every query
-/// class, so a serving layer can meter them identically.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Total DTW evaluations (against representatives and members).
-    pub dtw_evals: usize,
-    /// Candidates (representatives + members) skipped by the lower-bound
-    /// cascade; always the sum of the four per-tier counters below.
-    pub lb_prunes: usize,
-    /// Similarity groups visited (representatives considered).
-    pub groups_visited: usize,
-    /// Group members evaluated with DTW.
-    pub members_examined: usize,
-    /// Group members killed by the cascade before any DTW work.
-    pub members_lb_pruned: usize,
-    /// LB_Keogh evaluations (query-envelope + candidate-envelope tiers),
-    /// whether or not they pruned.
-    pub lb_keogh_evals: usize,
-    /// DTW evaluations abandoned early (cutoff or suffix bound); these
-    /// still count inside `dtw_evals`.
-    pub early_abandons: usize,
-    /// Candidates killed by cascade tier 0, the O(w) PAA sketch bound
-    /// (member sketch vs the query's PAA'd envelope; query sketch vs the
-    /// representative's stored PAA'd envelope).
-    pub pruned_paa: usize,
-    /// Candidates killed by cascade tier 1, LB_Kim.
-    pub pruned_kim: usize,
-    /// Candidates killed by tier 2, LB_Keogh against the query envelope.
-    pub pruned_keogh_eq: usize,
-    /// Candidates killed by tier 3, LB_Keogh against the candidate's own
-    /// stored envelope.
-    pub pruned_keogh_ec: usize,
-    /// Distinct lengths visited.
-    pub lengths_visited: usize,
-    /// Symbolic-index bucket bounds evaluated (hierarchy nodes probed).
-    pub index_probes: usize,
-    /// Groups the symbolic index left as candidates at probe time.
-    pub index_candidates: usize,
-    /// Per-length rep scans where the symbolic index could not engage and
-    /// the full slab scan ran instead.
-    pub index_fallbacks: usize,
-    /// Groups skipped wholesale by a certified index bucket bound; each
-    /// is also counted inside `groups_visited`, `lb_prunes` and
-    /// `pruned_paa` exactly as the tier-0 prune it stands in for.
-    pub groups_skipped_by_index: usize,
-    /// Wall-clock time spent answering.
-    pub elapsed: Duration,
-    /// Whether a time/evaluation budget stopped the search early (the
-    /// result is then the best found within budget).
-    pub truncated: bool,
-    /// Whether the parallel scan degraded to its sequential twin because a
-    /// query worker panicked. The answer is still exact and byte-identical
-    /// to a normal run (the panicked scan's partial state is discarded
-    /// wholesale and the whole scan re-runs sequentially) — this flag only
-    /// records that the fast path was lost, so a serving tier can alert.
-    pub degraded: bool,
-    /// Generation of the base that answered: starts at 0 and is bumped by
-    /// every maintenance hot-swap ([`Explorer::append_series`],
-    /// [`Explorer::remove_series`], [`Explorer::refine_to`]). All children
-    /// of one [`QueryRequest::Batch`] share an epoch — the whole batch is
-    /// answered on a single pinned base.
-    pub epoch: u64,
-}
-
-impl QueryStats {
-    fn from_search(
-        counters: similarity::QueryStats,
-        truncated: bool,
-        degraded: bool,
-        elapsed: Duration,
-        epoch: u64,
-    ) -> Self {
-        QueryStats {
-            dtw_evals: counters.dtw_evals(),
-            lb_prunes: counters.lb_pruned(),
-            groups_visited: counters.reps_examined,
-            members_examined: counters.members_examined,
-            members_lb_pruned: counters.members_lb_pruned,
-            lb_keogh_evals: counters.lb_keogh_evals,
-            early_abandons: counters.early_abandons,
-            pruned_paa: counters.pruned_paa,
-            pruned_kim: counters.pruned_kim,
-            pruned_keogh_eq: counters.pruned_keogh_eq,
-            pruned_keogh_ec: counters.pruned_keogh_ec,
-            lengths_visited: counters.lengths_visited,
-            index_probes: counters.index_probes,
-            index_candidates: counters.index_candidates,
-            index_fallbacks: counters.index_fallbacks,
-            groups_skipped_by_index: counters.groups_skipped_by_index,
-            elapsed,
-            truncated,
-            degraded,
-            epoch,
-        }
-    }
-
-    /// Merges another response's counters into this one (batch roll-up;
-    /// also used by the bench harness to aggregate across queries). This
-    /// is the batch aggregation rule documented on [`QueryRequest::Batch`]:
-    /// every counter is field-wise summed, `truncated` ORs in, and
-    /// `elapsed`/`epoch` are deliberately untouched — the batch response
-    /// reports its own wall-clock time and pinned epoch, and each child
-    /// carries its own.
-    pub fn absorb(&mut self, other: &QueryStats) {
-        self.dtw_evals += other.dtw_evals;
-        self.lb_prunes += other.lb_prunes;
-        self.groups_visited += other.groups_visited;
-        self.members_examined += other.members_examined;
-        self.members_lb_pruned += other.members_lb_pruned;
-        self.lb_keogh_evals += other.lb_keogh_evals;
-        self.early_abandons += other.early_abandons;
-        self.pruned_paa += other.pruned_paa;
-        self.pruned_kim += other.pruned_kim;
-        self.pruned_keogh_eq += other.pruned_keogh_eq;
-        self.pruned_keogh_ec += other.pruned_keogh_ec;
-        self.lengths_visited += other.lengths_visited;
-        self.index_probes += other.index_probes;
-        self.index_candidates += other.index_candidates;
-        self.index_fallbacks += other.index_fallbacks;
-        self.groups_skipped_by_index += other.groups_skipped_by_index;
-        self.truncated |= other.truncated;
-        self.degraded |= other.degraded;
     }
 }
 
@@ -1325,13 +1196,11 @@ fn run_search<T>(
         // it starts must not be stamped with the previous query's counters.
         ctx.begin();
         let outcome = body(base, &params, &mut ctx);
-        let stats = QueryStats::from_search(
-            ctx.stats,
-            ctx.truncated,
-            ctx.degraded,
-            started.elapsed(),
+        let stats = QueryStats {
+            elapsed: started.elapsed(),
             epoch,
-        );
+            ..ctx.stats
+        };
         cell.replace(ctx);
         outcome.map(|result| (result, stats))
     })
@@ -1369,21 +1238,16 @@ fn run_batch(
     // wrapper lets each be taken by value exactly once.
     let requests: Vec<Mutex<Option<QueryRequest>>> =
         requests.into_iter().map(|r| Mutex::new(Some(r))).collect();
-    let responses: Vec<Result<QueryResponse>> = fan_out(
-        n,
-        threads,
-        || (),
-        |(), i| {
-            // fetch_add hands each index to exactly one worker.
-            #[expect(clippy::expect_used, reason = "infallible, see above")]
-            let request = requests[i]
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .take()
-                .expect("each request taken once");
-            exec(base, epoch, request)
-        },
-    );
+    let responses: Vec<Result<QueryResponse>> = fan_out(n, threads, |i| {
+        // fetch_add hands each index to exactly one worker.
+        #[expect(clippy::expect_used, reason = "infallible, see above")]
+        let request = requests[i]
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .take()
+            .expect("each request taken once");
+        exec(base, epoch, request)
+    });
     let mut stats = QueryStats {
         epoch,
         ..QueryStats::default()
@@ -1857,6 +1721,43 @@ mod tests {
     }
 
     #[test]
+    fn empty_batch_and_oversized_pool() {
+        let e = explorer();
+        let resp = e
+            .query(QueryRequest::Batch {
+                requests: Vec::new(),
+                threads: 4,
+            })
+            .unwrap();
+        assert!(resp.result.batch().unwrap().is_empty());
+        assert_eq!(resp.stats.dtw_evals, 0);
+
+        // A pool wider than the batch is clamped to it: every child still
+        // answers, in request order.
+        let queries: Vec<Vec<f64>> = (0..3)
+            .map(|i| e.base().dataset().series()[i].values()[i..i + 10].to_vec())
+            .collect();
+        let resp = e
+            .query(QueryRequest::Batch {
+                requests: queries
+                    .iter()
+                    .map(|q| QueryRequest::best_match(q.clone(), MatchMode::Any))
+                    .collect(),
+                threads: 64,
+            })
+            .unwrap();
+        let children = resp.result.batch().unwrap();
+        assert_eq!(children.len(), 3);
+        for (q, child) in queries.iter().zip(children) {
+            let direct = e
+                .best_match(q, MatchMode::Any, QueryOptions::default())
+                .unwrap();
+            let got = child.as_ref().unwrap().result.best_match().unwrap();
+            assert_eq!(*got, direct);
+        }
+    }
+
+    #[test]
     fn batch_stats_aggregation_rule_is_pinned() {
         // Pins the aggregation contract documented on QueryRequest::Batch:
         // counters are the field-wise sum over successful children in
@@ -1959,6 +1860,27 @@ mod tests {
             .unwrap();
         // A tighter band can only raise (or keep) the optimal distance.
         assert!(narrow.raw_dtw + 1e-12 >= wide.raw_dtw);
+    }
+
+    #[test]
+    fn best_match_answers_when_every_dtw_overflows() {
+        // A finite query so large that every DTW is +∞ used to make
+        // best-match report `EmptyBase` (any length) or
+        // `NoGroupsForLength(12)` (a length the base has) while top-k
+        // answered. Best-match now answers as top-k does.
+        let d = synth::sine_mix(8, 24, 2, 42);
+        let e = Explorer::build(&d, OnexConfig::default()).unwrap();
+        let q = vec![1e308; 12];
+        let opts = QueryOptions::default();
+        for mode in [MatchMode::Any, MatchMode::Exact(12)] {
+            let best = e.best_match(&q, mode, opts).unwrap();
+            let top = e.top_k(&q, mode, 1, opts).unwrap();
+            assert_eq!(top.len(), 1, "{mode:?}");
+            assert_eq!(best.raw_dtw, f64::INFINITY, "{mode:?}");
+            assert_eq!(best.dist, top[0].dist, "{mode:?}");
+        }
+        let exact = e.best_match(&q, MatchMode::Exact(12), opts).unwrap();
+        assert_eq!(exact.subseq.len, 12);
     }
 
     #[test]

@@ -39,12 +39,8 @@
 //!   Class II (seasonal) and Class III (threshold recommendation) read the
 //!   precomputed LSI/SP-Space. Construction goes through
 //!   [`engine::ExplorerBuilder`]; [`engine::Explorer::pin`] gives
-//!   multi-query read consistency across maintenance swaps. The per-class
-//!   entry points (`query::SimilarityQuery`, `query::seasonal_*`,
-//!   `query::recommend`, `query::best_match_batch`) and the lifecycle free
-//!   functions (`maintain::append_series`, `refine::refine`,
-//!   `snapshot::save`/`load`) remain as deprecated shims over the same
-//!   internals.
+//!   multi-query read consistency across maintenance swaps. It is the one
+//!   public way to query, mutate and persist a base.
 //! * [`refine`] — Algorithm 2.C: adapt the base to a *different* similarity
 //!   threshold by splitting or cascade-merging groups, without re-scanning
 //!   the raw subsequence space. Served live by
@@ -104,6 +100,7 @@ pub mod query;
 pub mod refine;
 pub mod snapshot;
 pub mod spspace;
+mod stats;
 pub mod store;
 pub mod symindex;
 pub mod wal;
@@ -116,8 +113,6 @@ pub use engine::{
 };
 pub use error::{IoError, OnexError};
 pub use group::{Group, GroupId};
-#[allow(deprecated, reason = "part of the deprecated shim surface")]
-pub use query::SimilarityQuery;
 pub use query::{Match, MatchMode, SeasonalResult};
 pub use spspace::{SimilarityDegree, SpSpace, ThresholdRange};
 pub use store::{GroupStore, LengthFootprint, LengthSlab, StoreFootprint};

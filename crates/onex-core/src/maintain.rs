@@ -20,9 +20,7 @@
 //!
 //! The public surface is [`crate::engine::Explorer::append_series`] /
 //! [`crate::engine::Explorer::remove_series`], which run these constructions
-//! off-line and atomically hot-swap the successor base under an epoch. The
-//! free function [`append_series`] remains as a deprecated by-value shim
-//! over the same internals.
+//! off-line and atomically hot-swap the successor base under an epoch.
 //!
 //! Normalization caveat: when the base was built from raw data, an appended
 //! series is projected with the *original* min-max parameters, and removing
@@ -54,17 +52,9 @@ pub(crate) struct Predecessor<'a> {
 }
 
 /// Appends a series (raw units if the base was built from raw data) and
-/// returns the updated base together with the new series' index.
-#[deprecated(
-    since = "0.3.0",
-    note = "use Explorer::append_series — same construction, plus atomic epoch hot-swap under live traffic"
-)]
-pub fn append_series(base: OnexBase, series: TimeSeries) -> Result<(OnexBase, usize)> {
-    append_series_impl(base.into_predecessor(), series)
-}
-
-/// Shared construction behind [`append_series`] and
-/// [`crate::engine::Explorer::append_series`].
+/// returns the successor base together with the new series' index: the
+/// construction behind [`crate::engine::Explorer::append_series`] and WAL
+/// replay.
 ///
 /// Appending into an *empty* base (every series removed) is allowed and
 /// repopulates it: each length starts from an empty assigner, so the base
@@ -596,17 +586,5 @@ mod tests {
                 .any(|g| g.members() == &members[..] && g.representative() == &rep[..]);
             assert!(survived, "untouched group must survive unchanged");
         }
-    }
-
-    #[test]
-    fn deprecated_shim_matches_impl() {
-        let d = synth::sine_mix(4, 10, 2, 5);
-        let base = OnexBase::build(&d, OnexConfig::default()).unwrap();
-        let extra = TimeSeries::new((0..10).map(|i| (i as f64 * 0.3).cos()).collect()).unwrap();
-        #[allow(deprecated, reason = "tests the deprecated shim")]
-        let (a, ia) = append_series(base.clone(), extra.clone()).unwrap();
-        let (b, ib) = append_series_impl(base.to_predecessor(), extra).unwrap();
-        assert_eq!(ia, ib);
-        assert_eq!(a, b);
     }
 }

@@ -1,36 +1,24 @@
-//! The ONEX online query processor (paper §5).
+//! The ONEX online query processor (paper §5): the search core behind
+//! [`crate::engine::Explorer`], which is the one public way to issue a
+//! query.
 //!
-//! The unified entry point is [`crate::engine::Explorer`], which answers
-//! every query class through one typed request/response API from `&self`.
-//! This module holds the search core (the `similarity` submodule) and the legacy
-//! per-class entry points, kept as thin deprecated shims over the same
-//! internals:
-//!
-//! * [`SimilarityQuery`] — Class I: best-match / top-k retrieval for a
-//!   sample sequence, exact-length or any-length (Algorithm 2.A), applying
-//!   the §5.3 optimizations: length-ordered search, median-sum
-//!   representative ordering, LB_Kim/LB_Keogh pruning, early-abandoning DTW,
-//!   and the ED-ordered intra-group walk.
-//! * [`seasonal_all`] / [`seasonal_for_series`] — Class II: recurring-similarity
-//!   queries (Algorithm 2.B).
-//! * [`recommend`] — Class III: similarity-threshold recommendations.
+//! * `similarity` — Class I: best-match, top-k and range retrieval for a
+//!   sample sequence, exact-length or any-length (Algorithm 2.A), with the
+//!   §5.3 optimizations: length-ordered search, median-sum representative
+//!   ordering, the cascaded lower bounds, early-abandoning DTW, and the
+//!   ED-ordered intra-group walk. It counts its work into
+//!   [`crate::QueryStats`].
+//! * `par` — the intra-query striping those scans fan out over.
+//! * `seasonal` — Class II: recurring-similarity queries (Algorithm 2.B).
+//! * `recommend` — Class III: similarity-threshold recommendations.
 
-mod batch;
 pub(crate) mod par;
 mod recommend;
 mod seasonal;
 pub(crate) mod similarity;
 
-#[allow(deprecated, reason = "part of the deprecated shim surface")]
-pub use batch::{best_match_batch, BatchQuery};
-#[allow(deprecated, reason = "part of the deprecated shim surface")]
-pub use recommend::recommend;
 pub use seasonal::SeasonalResult;
-#[allow(deprecated, reason = "part of the deprecated shim surface")]
-pub use seasonal::{seasonal_all, seasonal_for_series};
-#[allow(deprecated, reason = "part of the deprecated shim surface")]
-pub use similarity::SimilarityQuery;
-pub use similarity::{Match, MatchMode, QueryStats};
+pub use similarity::{Match, MatchMode};
 
 pub(crate) use recommend::recommend_impl;
 pub(crate) use seasonal::{seasonal_all_impl, seasonal_for_series_impl};

@@ -7,12 +7,15 @@
 //! see exactly where changing ST will start changing their results.
 //!
 //! Issue these via [`crate::engine::Explorer`] with
-//! [`crate::engine::QueryRequest::Recommend`]; the free function below is a
-//! deprecated shim over the same implementation.
+//! [`crate::engine::QueryRequest::Recommend`].
 
 use crate::{OnexBase, Result, SimilarityDegree, ThresholdRange};
 
-/// Shared implementation (see [`recommend`] for semantics).
+/// Answers a Class III query. `len = None` corresponds to `MATCH = Any`
+/// (global recommendations); `degree = None` to `simDegree = NULL`.
+///
+/// Returns one range per requested degree (three for `None`), each an
+/// interval of thresholds that realize that similarity strength.
 pub(crate) fn recommend_impl(
     base: &OnexBase,
     degree: Option<SimilarityDegree>,
@@ -29,23 +32,6 @@ pub(crate) fn recommend_impl(
         Some(d) => vec![sp.range_for(d, len)],
         None => sp.all_ranges(len).to_vec(),
     })
-}
-
-/// Answers a Class III query. `len = None` corresponds to `MATCH = Any`
-/// (global recommendations); `degree = None` to `simDegree = NULL`.
-///
-/// Returns one range per requested degree (three for `None`), each an
-/// interval of thresholds that realize that similarity strength.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Explorer::recommend (or QueryRequest::Recommend) — same results, uniform stats"
-)]
-pub fn recommend(
-    base: &OnexBase,
-    degree: Option<SimilarityDegree>,
-    len: Option<usize>,
-) -> Result<Vec<ThresholdRange>> {
-    recommend_impl(base, degree, len)
 }
 
 #[cfg(test)]
@@ -90,15 +76,5 @@ mod tests {
     fn unknown_length_is_an_error() {
         let b = base();
         assert!(recommend_impl(&b, None, Some(400)).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated, reason = "tests the deprecated shim")]
-    fn deprecated_shim_matches_impl() {
-        let b = base();
-        assert_eq!(
-            recommend(&b, None, None).unwrap(),
-            recommend_impl(&b, None, None).unwrap()
-        );
     }
 }

@@ -13,8 +13,7 @@
 //! Both run straight off the precomputed LSI: no distance computation at
 //! query time, which is why the paper reports near-constant response times
 //! (Fig. 4). Issue these via [`crate::engine::Explorer`] with
-//! [`crate::engine::QueryRequest::Seasonal`]; the free functions below are
-//! deprecated shims over the same implementation.
+//! [`crate::engine::QueryRequest::Seasonal`].
 
 use crate::{GroupId, OnexBase, OnexError, Result};
 use onex_ts::SubseqRef;
@@ -28,8 +27,10 @@ pub struct SeasonalResult {
     pub members: Vec<SubseqRef>,
 }
 
-/// Shared implementation of the user-driven query (see
-/// [`seasonal_for_series`] for semantics).
+/// User-driven seasonal similarity: groups of length `len` restricted to
+/// subsequences of `series`, keeping groups that contribute at least
+/// `min_recurrence` of them (2 = "recurring", the natural default; 1 returns
+/// every group the series participates in).
 pub(crate) fn seasonal_for_series_impl(
     base: &OnexBase,
     series: usize,
@@ -63,8 +64,9 @@ pub(crate) fn seasonal_for_series_impl(
     Ok(out)
 }
 
-/// Shared implementation of the data-driven query (see [`seasonal_all`]
-/// for semantics).
+/// Data-driven seasonal similarity: every group of length `len` with at
+/// least `min_members` members (≥ 2 filters out the non-recurring
+/// singletons).
 pub(crate) fn seasonal_all_impl(
     base: &OnexBase,
     len: usize,
@@ -86,38 +88,6 @@ pub(crate) fn seasonal_all_impl(
         }
     }
     Ok(out)
-}
-
-/// User-driven seasonal similarity: groups of length `len` restricted to
-/// subsequences of `series`, keeping groups that contribute at least
-/// `min_recurrence` of them (2 = "recurring", the natural default; 1 returns
-/// every group the series participates in).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Explorer::seasonal_for_series (or QueryRequest::Seasonal) — same results, uniform stats"
-)]
-pub fn seasonal_for_series(
-    base: &OnexBase,
-    series: usize,
-    len: usize,
-    min_recurrence: usize,
-) -> Result<Vec<SeasonalResult>> {
-    seasonal_for_series_impl(base, series, len, min_recurrence)
-}
-
-/// Data-driven seasonal similarity: every group of length `len` with at
-/// least `min_members` members (≥ 2 filters out the non-recurring
-/// singletons).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Explorer::seasonal_all (or QueryRequest::Seasonal) — same results, uniform stats"
-)]
-pub fn seasonal_all(
-    base: &OnexBase,
-    len: usize,
-    min_members: usize,
-) -> Result<Vec<SeasonalResult>> {
-    seasonal_all_impl(base, len, min_members)
 }
 
 #[cfg(test)]
@@ -200,20 +170,6 @@ mod tests {
         assert_eq!(
             seasonal_all_impl(&b, 500, 2).unwrap_err(),
             OnexError::NoGroupsForLength(500)
-        );
-    }
-
-    #[test]
-    #[allow(deprecated, reason = "tests the deprecated shim")]
-    fn deprecated_shims_match_impls() {
-        let b = seasonal_base();
-        assert_eq!(
-            seasonal_for_series(&b, 0, 3, 2).unwrap(),
-            seasonal_for_series_impl(&b, 0, 3, 2).unwrap()
-        );
-        assert_eq!(
-            seasonal_all(&b, 3, 2).unwrap(),
-            seasonal_all_impl(&b, 3, 2).unwrap()
         );
     }
 }

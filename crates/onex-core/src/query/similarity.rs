@@ -13,8 +13,7 @@
 //! query-side envelope state and the instrumentation counters). Nothing is
 //! borrowed mutably from the base, so any number of threads can search one
 //! base concurrently, each with its own context — this is what
-//! [`crate::engine::Explorer`] builds on. The legacy [`SimilarityQuery`]
-//! wrapper owns one context and forwards.
+//! [`crate::engine::Explorer`] builds on.
 //!
 //! ## The cascaded lower-bound pipeline
 //!
@@ -58,7 +57,7 @@ const PAA_TIER0_MARGIN: f64 = 1e-9;
 use crate::index::LengthIndex;
 use crate::store::LengthSlab;
 use crate::symindex::SymIndex;
-use crate::{GroupId, OnexBase, OnexConfig, OnexError, Result};
+use crate::{GroupId, OnexBase, OnexConfig, OnexError, QueryStats, Result};
 use onex_dist::{
     lb_keogh, lb_keogh_cumulative_into, lb_keogh_sq_abandon, lb_kim_fl, lb_paa_env_sq,
     paa_envelope_into, paa_into, paa_segment_weights_into, DtwBuffer, Envelope, EnvelopeRef,
@@ -90,89 +89,6 @@ pub struct Match {
     pub group: GroupId,
     /// Normalized DTW between the query and that group's representative.
     pub rep_dist: f64,
-}
-
-/// Instrumentation counters, exposed for the ablation experiments and
-/// aggregated into [`crate::engine::QueryStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryStats {
-    /// Representatives considered.
-    pub reps_examined: usize,
-    /// Representatives skipped by the LB cascade before any DTW work.
-    pub reps_lb_pruned: usize,
-    /// Full or early-abandoned DTW evaluations against representatives.
-    pub rep_dtw_evals: usize,
-    /// Group members evaluated with DTW (full or early-abandoned).
-    pub members_examined: usize,
-    /// Group members skipped by the LB cascade before any DTW work.
-    pub members_lb_pruned: usize,
-    /// LB_Keogh evaluations (query-envelope and candidate-envelope tiers),
-    /// including ones that did not prune.
-    pub lb_keogh_evals: usize,
-    /// DTW evaluations abandoned early (cutoff or suffix bound), counted
-    /// inside `rep_dtw_evals`/`members_examined`.
-    pub early_abandons: usize,
-    /// Candidates (representatives + members) killed by tier 0, the O(w)
-    /// PAA sketch bound.
-    pub pruned_paa: usize,
-    /// Candidates (representatives + members) killed by tier 1, LB_Kim.
-    pub pruned_kim: usize,
-    /// Candidates killed by tier 2, LB_Keogh against the query's envelope.
-    pub pruned_keogh_eq: usize,
-    /// Candidates killed by tier 3, LB_Keogh against the candidate's own
-    /// stored envelope.
-    pub pruned_keogh_ec: usize,
-    /// Lengths visited (any-length queries).
-    pub lengths_visited: usize,
-    /// Symbolic-index bucket bounds evaluated (hierarchy nodes probed).
-    pub index_probes: usize,
-    /// Groups the symbolic index left as candidates at probe time.
-    pub index_candidates: usize,
-    /// Per-length rep scans where the symbolic index could not engage
-    /// (toggle off conditions unmet, or no finite cutoff materialized)
-    /// and the full slab scan ran instead.
-    pub index_fallbacks: usize,
-    /// Groups skipped wholesale by a certified index bucket bound —
-    /// each counted exactly as the tier-0 prune it stands in for (it
-    /// also increments `reps_examined`, `reps_lb_pruned`, `pruned_paa`).
-    pub groups_skipped_by_index: usize,
-}
-
-impl QueryStats {
-    /// Total DTW evaluations (representatives + members).
-    pub fn dtw_evals(&self) -> usize {
-        self.rep_dtw_evals + self.members_examined
-    }
-
-    /// Total candidates killed by the LB cascade (representatives +
-    /// members); always equals the sum of the per-tier prune counters
-    /// (`pruned_paa + pruned_kim + pruned_keogh_eq + pruned_keogh_ec`).
-    pub fn lb_pruned(&self) -> usize {
-        self.reps_lb_pruned + self.members_lb_pruned
-    }
-
-    /// Field-wise sum of another context's counters into this one — how a
-    /// striped scan folds its per-worker counters (each worker counts into
-    /// its own `SearchCtx`; nothing is shared, so the aggregate is the
-    /// exact total of the work performed, with no lost updates).
-    pub(crate) fn merge_counts(&mut self, o: &QueryStats) {
-        self.reps_examined += o.reps_examined;
-        self.reps_lb_pruned += o.reps_lb_pruned;
-        self.rep_dtw_evals += o.rep_dtw_evals;
-        self.members_examined += o.members_examined;
-        self.members_lb_pruned += o.members_lb_pruned;
-        self.lb_keogh_evals += o.lb_keogh_evals;
-        self.early_abandons += o.early_abandons;
-        self.pruned_paa += o.pruned_paa;
-        self.pruned_kim += o.pruned_kim;
-        self.pruned_keogh_eq += o.pruned_keogh_eq;
-        self.pruned_keogh_ec += o.pruned_keogh_ec;
-        self.lengths_visited += o.lengths_visited;
-        self.index_probes += o.index_probes;
-        self.index_candidates += o.index_candidates;
-        self.index_fallbacks += o.index_fallbacks;
-        self.groups_skipped_by_index += o.groups_skipped_by_index;
-    }
 }
 
 /// Everything that *configures* one search: the base's build-time knobs,
@@ -223,8 +139,8 @@ pub(crate) struct SearchParams {
 }
 
 impl SearchParams {
-    /// Parameters exactly matching the base's build-time configuration —
-    /// the legacy `SimilarityQuery` semantics.
+    /// Parameters exactly matching the base's build-time configuration,
+    /// with an optional `st` override.
     pub fn from_config(config: &OnexConfig, st: Option<f64>) -> Self {
         SearchParams {
             st: st.unwrap_or(config.st),
@@ -331,15 +247,9 @@ impl QueryEnvelopeCache {
 pub(crate) struct SearchCtx {
     /// DTW scratch rows, reused across evaluations.
     pub buf: DtwBuffer,
-    /// Counters for the current query.
+    /// Counters and the `truncated` / `degraded` flags for the current
+    /// query; `elapsed` and `epoch` are left for the engine to stamp.
     pub stats: QueryStats,
-    /// Set when a deadline or evaluation cap stopped the search early; the
-    /// result is the best found within budget (anytime semantics).
-    pub truncated: bool,
-    /// Set when a striped scan lost a worker to a panic and the whole scan
-    /// re-ran on the sequential twin. The answer is still exact — only the
-    /// fast path degraded.
-    pub degraded: bool,
     /// Query envelope + contribution order, built lazily per query.
     pub qenv: QueryEnvelopeCache,
     /// Scratch for the per-candidate LB_Keogh suffix array.
@@ -355,27 +265,25 @@ impl SearchCtx {
     /// Resets per-query state (the buffers are retained).
     pub fn begin(&mut self) {
         self.stats = QueryStats::default();
-        self.truncated = false;
-        self.degraded = false;
         self.qenv.begin();
     }
 
-    /// Checks the time/evaluation budget, latching `truncated` once
+    /// Checks the time/evaluation budget, latching `stats.truncated` once
     /// exceeded. Called before each DTW evaluation; with no budget
     /// configured this is two branch-predictable compares.
     fn out_of_budget(&mut self, p: &SearchParams) -> bool {
-        if self.truncated {
+        if self.stats.truncated {
             return true;
         }
         if let Some(cap) = p.max_dtw_evals {
-            if self.stats.dtw_evals() >= cap {
-                self.truncated = true;
+            if self.stats.dtw_evals >= cap {
+                self.stats.truncated = true;
                 return true;
             }
         }
         if let Some(deadline) = p.deadline {
             if Instant::now() >= deadline {
-                self.truncated = true;
+                self.stats.truncated = true;
                 return true;
             }
         }
@@ -443,8 +351,8 @@ fn mark_index_skips(sym: &SymIndex, q: &[f64], cutoff: f64, p: &SearchParams, ct
 /// tier-0 prune it replaces (plus the index's own attribution counter), so
 /// the per-query statistics are bit-identical with the index on or off.
 fn charge_index_skip(stats: &mut QueryStats) {
-    stats.reps_examined += 1;
-    stats.reps_lb_pruned += 1;
+    stats.groups_visited += 1;
+    stats.lb_prunes += 1;
     stats.pruned_paa += 1;
     stats.groups_skipped_by_index += 1;
 }
@@ -458,13 +366,32 @@ struct RepChoice {
     raw: f64,
 }
 
-/// Which counters a [`cascade_eval`] charges its work to.
+/// Which counters a [`cascade_eval`] charges its work to: all work goes
+/// into `dtw_evals` / `lb_prunes`, member work also into `members_*`.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Candidate {
     /// A group representative (stores an envelope, enabling tier 3).
     Rep,
     /// A group member (no stored envelope).
     Member,
+}
+
+impl Candidate {
+    /// Charges one lower-bound prune (the caller bumps its tier's counter).
+    fn charge_prune(self, stats: &mut QueryStats) {
+        stats.lb_prunes += 1;
+        if self == Candidate::Member {
+            stats.members_lb_pruned += 1;
+        }
+    }
+
+    /// Charges one DTW evaluation, full or early-abandoned.
+    fn charge_dtw(self, stats: &mut QueryStats) {
+        stats.dtw_evals += 1;
+        if self == Candidate::Member {
+            stats.members_examined += 1;
+        }
+    }
 }
 
 /// Evaluates one candidate through the cascaded lower-bound pipeline:
@@ -567,20 +494,14 @@ fn cascade_eval(
             };
             if pruned {
                 stats.pruned_paa += 1;
-                match kind {
-                    Candidate::Rep => stats.reps_lb_pruned += 1,
-                    Candidate::Member => stats.members_lb_pruned += 1,
-                }
+                kind.charge_prune(stats);
                 return None;
             }
         }
         // Tier 1: LB_Kim.
         if lb_kim_fl(q, cand) > cutoff {
             stats.pruned_kim += 1;
-            match kind {
-                Candidate::Rep => stats.reps_lb_pruned += 1,
-                Candidate::Member => stats.members_lb_pruned += 1,
-            }
+            kind.charge_prune(stats);
             return None;
         }
         let cutoff_sq = cutoff * cutoff;
@@ -593,10 +514,7 @@ fn cascade_eval(
                 Some(eq_sq) if eq_sq <= cutoff_sq => suffix_useful = eq_sq > 0.0,
                 _ => {
                     stats.pruned_keogh_eq += 1;
-                    match kind {
-                        Candidate::Rep => stats.reps_lb_pruned += 1,
-                        Candidate::Member => stats.members_lb_pruned += 1,
-                    }
+                    kind.charge_prune(stats);
                     return None;
                 }
             }
@@ -617,10 +535,7 @@ fn cascade_eval(
                 };
                 if pruned {
                     stats.pruned_keogh_ec += 1;
-                    match kind {
-                        Candidate::Rep => stats.reps_lb_pruned += 1,
-                        Candidate::Member => stats.members_lb_pruned += 1,
-                    }
+                    kind.charge_prune(stats);
                     return None;
                 }
             }
@@ -632,10 +547,7 @@ fn cascade_eval(
     // there (candidate rows against the query) because the suffix bounds
     // the candidate's contributions; DTW's DP is transpose-symmetric, so
     // the value is bit-identical either way.
-    match kind {
-        Candidate::Rep => stats.rep_dtw_evals += 1,
-        Candidate::Member => stats.members_examined += 1,
-    }
+    kind.charge_dtw(stats);
     let d = match q_entry {
         Some(entry) if suffix_useful => {
             lb_keogh_cumulative_into(cand, &entry.env, suffix);
@@ -773,7 +685,7 @@ pub(crate) fn top_k(
                 }
             }
         }
-        if ctx.truncated {
+        if ctx.stats.truncated {
             break;
         }
         if matches!(mode, MatchMode::Any)
@@ -795,7 +707,7 @@ pub(crate) fn top_k(
     }
     all.truncate(k);
     if all.is_empty() {
-        return Err(if ctx.truncated {
+        return Err(if ctx.stats.truncated {
             OnexError::BudgetExhausted
         } else {
             OnexError::EmptyBase
@@ -889,7 +801,7 @@ pub(crate) fn within_threshold(
                 continue;
             }
             let gid = idx.group_ids[local];
-            ctx.stats.reps_examined += 1;
+            ctx.stats.groups_visited += 1;
             let Some(raw) = cascade_eval(
                 q,
                 slab.rep_row(local),
@@ -964,10 +876,10 @@ pub(crate) fn within_threshold(
 /// order; the caller's total-order sort on `(dist, subseq)` erases the
 /// difference from the sequential append order.
 ///
-/// Returns `false` — with `ctx.degraded` latched, no matches appended and
-/// no counters charged — when a worker panicked; the caller must then run
-/// the sequential twin for this length, which reproduces the striped
-/// scan's would-be answer exactly.
+/// Returns `false` — with `ctx.stats.degraded` latched, no matches
+/// appended and no counters charged — when a worker panicked; the caller
+/// must then run the sequential twin for this length, which reproduces the
+/// striped scan's would-be answer exactly.
 #[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn range_scan_striped(
     base: &OnexBase,
@@ -1004,7 +916,7 @@ fn range_scan_striped(
                 continue;
             }
             let gid = idx.group_ids[local];
-            wctx.stats.reps_examined += 1;
+            wctx.stats.groups_visited += 1;
             let Some(raw) = cascade_eval(
                 q,
                 slab.rep_row(local),
@@ -1067,13 +979,12 @@ fn range_scan_striped(
     let Some(results) = results else {
         // A worker panicked: every partial result is discarded and the
         // caller re-runs this length sequentially.
-        ctx.degraded = true;
+        ctx.stats.degraded = true;
         return false;
     };
     for (local_out, wctx) in results {
         out.extend(local_out);
-        ctx.stats.merge_counts(&wctx.stats);
-        ctx.truncated |= wctx.truncated;
+        ctx.stats.absorb(&wctx.stats);
     }
     true
 }
@@ -1098,7 +1009,9 @@ fn best_match_at_length(
     for c in &choices {
         let rep_norm = c.raw / (2.0 * q.len().max(len) as f64);
         if let Some((r, raw)) = best_in_group(base, q, slab, c.local, c.raw, cutoff, p, ctx) {
-            if raw < cutoff {
+            // A group best always beats the cutoff, except the +∞ one kept
+            // when every DTW overflowed; the first such is the answer.
+            if best.is_none() || raw < cutoff {
                 cutoff = raw;
                 best = Some(Match {
                     subseq: r,
@@ -1110,7 +1023,7 @@ fn best_match_at_length(
             }
         }
     }
-    best.ok_or(if ctx.truncated {
+    best.ok_or(if ctx.stats.truncated {
         OnexError::BudgetExhausted
     } else {
         OnexError::NoGroupsForLength(len)
@@ -1200,7 +1113,7 @@ fn best_match_any(
             }
         }
     }
-    best.ok_or(if ctx.truncated {
+    best.ok_or(if ctx.stats.truncated {
         OnexError::BudgetExhausted
     } else {
         OnexError::EmptyBase
@@ -1263,7 +1176,7 @@ fn best_reps(
         }
         let gid = idx.group_ids[local];
         let rep = slab.rep_row(local);
-        ctx.stats.reps_examined += 1;
+        ctx.stats.groups_visited += 1;
         let Some(raw) = cascade_eval(
             q,
             rep,
@@ -1312,10 +1225,11 @@ fn best_reps(
 /// loop's arrival order *is* the median-sum rank. Each worker engages the
 /// symbolic index independently at its first finite cutoff (the mask
 /// stays sound for any tighter cutoff, as in the sequential scan);
-/// per-worker counters are merged by field-wise sum.
+/// per-worker counters are merged by [`QueryStats::absorb`].
 ///
-/// Returns `None` — with `ctx.degraded` latched, no counters charged —
-/// when a worker panicked; the caller must then run the sequential twin.
+/// Returns `None` — with `ctx.stats.degraded` latched, no counters
+/// charged — when a worker panicked; the caller must then run the
+/// sequential twin.
 #[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn best_reps_striped(
     q: &[f64],
@@ -1357,7 +1271,7 @@ fn best_reps_striped(
                 continue;
             }
             let gid = idx.group_ids[local];
-            wctx.stats.reps_examined += 1;
+            wctx.stats.groups_visited += 1;
             let Some(raw) = cascade_eval(
                 q,
                 slab.rep_row(local),
@@ -1398,7 +1312,7 @@ fn best_reps_striped(
         None => {
             // A worker panicked: discard every partial finalist and fall
             // back to the sequential scan.
-            ctx.degraded = true;
+            ctx.stats.degraded = true;
             return None;
         }
     };
@@ -1406,8 +1320,7 @@ fn best_reps_striped(
     let mut any_masked = false;
     for (kept, wctx, masked) in results {
         merged.extend(kept);
-        ctx.stats.merge_counts(&wctx.stats);
-        ctx.truncated |= wctx.truncated;
+        ctx.stats.absorb(&wctx.stats);
         any_masked |= masked;
     }
     if p.symindex && !any_masked {
@@ -1431,10 +1344,10 @@ fn best_reps_striped(
 /// sequential result bit for bit. Survivors are appended to `all` in
 /// worker order and per-worker counters merged by field-wise sum.
 ///
-/// Returns `false` — with `ctx.degraded` latched, `topk_keys` restored to
-/// its pre-call state, nothing appended to `all` and no counters charged
-/// — when a worker panicked; the caller must then run the sequential twin
-/// for this length.
+/// Returns `false` — with `ctx.stats.degraded` latched, `topk_keys`
+/// restored to its pre-call state, nothing appended to `all` and no
+/// counters charged — when a worker panicked; the caller must then run the
+/// sequential twin for this length.
 #[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn topk_members_striped(
     base: &OnexBase,
@@ -1507,13 +1420,12 @@ fn topk_members_striped(
         // A worker panicked: restore the carried keys exactly as they
         // were and let the caller re-run this length sequentially.
         *topk_keys = saved_keys;
-        ctx.degraded = true;
+        ctx.stats.degraded = true;
         return false;
     };
     for (local, wctx) in results {
         all.extend(local);
-        ctx.stats.merge_counts(&wctx.stats);
-        ctx.truncated |= wctx.truncated;
+        ctx.stats.absorb(&wctx.stats);
     }
     *topk_keys = shared.into_keys();
     true
@@ -1584,6 +1496,14 @@ fn best_in_group(
                 *cutoff = raw;
                 true
             }
+            // Under an infinite cutoff only a +∞ DTW gets here: a finite
+            // query of such magnitude that every DTW overflows. Keep the
+            // first so the search answers as top-k does rather than finding
+            // nothing; it is no improvement, so the walk is unchanged.
+            Some(raw) if best.is_none() && cutoff.is_infinite() => {
+                *best = Some((r, raw));
+                false
+            }
             _ => false,
         }
     };
@@ -1623,7 +1543,7 @@ fn best_in_group(
     let mut right_bad = 0usize;
     let mut go_left = true;
     loop {
-        if ctx.truncated {
+        if ctx.stats.truncated {
             break;
         }
         let can_left = left > 0 && left_bad < patience;
@@ -1656,82 +1576,60 @@ fn best_in_group(
     best
 }
 
-/// Legacy reusable similarity-query processor over one base. Owns one
-/// `SearchCtx` (DTW scratch buffer + counters), so repeated queries
-/// allocate nothing — but the `&mut self` receiver serializes callers.
-///
-/// Deprecated: [`crate::engine::Explorer`] answers the same queries (and
-/// the other classes) through one typed request/response API, from `&self`,
-/// so one instance serves any number of threads. This type now forwards to
-/// the same search core and returns bit-identical results.
-#[deprecated(
-    since = "0.2.0",
-    note = "use onex_core::engine::Explorer — one typed, thread-safe API for all query classes"
-)]
-pub struct SimilarityQuery<'a> {
-    base: &'a OnexBase,
-    ctx: SearchCtx,
-    /// Counters from the most recent query.
-    pub stats: QueryStats,
-}
-
-#[allow(deprecated, reason = "part of the deprecated shim surface")]
-impl<'a> SimilarityQuery<'a> {
-    /// Creates a processor bound to a base.
-    pub fn new(base: &'a OnexBase) -> Self {
-        SimilarityQuery {
-            base,
-            ctx: SearchCtx::default(),
-            stats: QueryStats::default(),
-        }
-    }
-
-    /// Finds the best match for a (normalized) query sequence. `st` overrides
-    /// the base's similarity threshold for the qualifying-representative test
-    /// (the `WHERE Sim <= ST` clause); `None` uses the build-time threshold.
-    pub fn best_match(&mut self, q: &[f64], mode: MatchMode, st: Option<f64>) -> Result<Match> {
-        let p = SearchParams::from_config(self.base.config(), st);
-        let out = best_match(self.base, q, mode, &p, &mut self.ctx);
-        self.stats = self.ctx.stats;
-        out
-    }
-
-    /// Top-`k` most similar subsequences; see the module-level `top_k`.
-    pub fn top_k(
-        &mut self,
-        q: &[f64],
-        mode: MatchMode,
-        k: usize,
-        st: Option<f64>,
-    ) -> Result<Vec<Match>> {
-        let p = SearchParams::from_config(self.base.config(), st);
-        let out = top_k(self.base, q, mode, k, &p, &mut self.ctx);
-        self.stats = self.ctx.stats;
-        out
-    }
-
-    /// Range query; see the module-level `within_threshold`.
-    pub fn within_threshold(
-        &mut self,
-        q: &[f64],
-        mode: MatchMode,
-        st: Option<f64>,
-        verify: bool,
-    ) -> Result<Vec<Match>> {
-        let p = SearchParams::from_config(self.base.config(), st);
-        let out = within_threshold(self.base, q, mode, verify, &p, &mut self.ctx);
-        self.stats = self.ctx.stats;
-        out
-    }
-}
-
 #[cfg(test)]
-#[allow(deprecated, reason = "tests the deprecated shim")]
 mod tests {
     use super::*;
     use crate::{OnexBase, OnexConfig};
     use onex_dist::{dtw_normalized, Window};
     use onex_ts::{synth, Dataset, TimeSeries};
+
+    /// The search core over one base with the base's own parameters (plus an
+    /// optional `st` override) and one reusable context, whose `stats` hold
+    /// the counters of the latest query.
+    struct Searcher<'a> {
+        base: &'a OnexBase,
+        ctx: SearchCtx,
+    }
+
+    impl<'a> Searcher<'a> {
+        fn new(base: &'a OnexBase) -> Self {
+            Searcher {
+                base,
+                ctx: SearchCtx::default(),
+            }
+        }
+
+        fn params(&self, st: Option<f64>) -> SearchParams {
+            SearchParams::from_config(self.base.config(), st)
+        }
+
+        fn best_match(&mut self, q: &[f64], mode: MatchMode, st: Option<f64>) -> Result<Match> {
+            let p = self.params(st);
+            best_match(self.base, q, mode, &p, &mut self.ctx)
+        }
+
+        fn top_k(
+            &mut self,
+            q: &[f64],
+            mode: MatchMode,
+            k: usize,
+            st: Option<f64>,
+        ) -> Result<Vec<Match>> {
+            let p = self.params(st);
+            top_k(self.base, q, mode, k, &p, &mut self.ctx)
+        }
+
+        fn within_threshold(
+            &mut self,
+            q: &[f64],
+            mode: MatchMode,
+            st: Option<f64>,
+            verify: bool,
+        ) -> Result<Vec<Match>> {
+            let p = self.params(st);
+            within_threshold(self.base, q, mode, verify, &p, &mut self.ctx)
+        }
+    }
 
     fn base() -> OnexBase {
         let d = synth::sine_mix(8, 24, 2, 11);
@@ -1745,13 +1643,13 @@ mod tests {
         // match at its own length must have distance 0 (itself) or at worst
         // the group-guarantee bound.
         let q: Vec<f64> = b.dataset().get(0).unwrap().values()[3..15].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let m = proc.best_match(&q, MatchMode::Exact(12), None).unwrap();
         assert_eq!(m.subseq.len, 12);
         // The query itself lives in some group of length 12; its own group's
         // representative is within ST/2, so the retrieved distance is small.
         assert!(m.dist <= b.config().st, "dist {}", m.dist);
-        assert!(proc.stats.reps_examined > 0);
+        assert!(proc.ctx.stats.groups_visited > 0);
     }
 
     #[test]
@@ -1763,7 +1661,7 @@ mod tests {
         };
         let b = OnexBase::build(&d, cfg).unwrap();
         let q: Vec<f64> = b.dataset().get(2).unwrap().values()[1..9].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let m = proc.best_match(&q, MatchMode::Exact(8), None).unwrap();
         // The query is a member of some group; exhaustive search inside the
         // best group finds either itself (0) or something at least as close
@@ -1775,7 +1673,7 @@ mod tests {
     fn any_length_query_returns_best_normalized() {
         let b = base();
         let q: Vec<f64> = b.dataset().get(1).unwrap().values()[0..10].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let m = proc.best_match(&q, MatchMode::Any, None).unwrap();
         assert!(m.dist.is_finite());
         // verify the reported normalized distance is consistent
@@ -1787,7 +1685,7 @@ mod tests {
     #[test]
     fn exact_mode_rejects_unknown_length() {
         let b = base();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let err = proc
             .best_match(&[0.1, 0.2], MatchMode::Exact(999), None)
             .unwrap_err();
@@ -1797,7 +1695,7 @@ mod tests {
     #[test]
     fn invalid_queries_rejected() {
         let b = base();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         assert!(proc.best_match(&[], MatchMode::Any, None).is_err());
         assert!(proc
             .best_match(&[f64::NAN, 0.0], MatchMode::Any, None)
@@ -1808,7 +1706,7 @@ mod tests {
     fn top_k_is_sorted_and_bounded() {
         let b = base();
         let q: Vec<f64> = b.dataset().get(0).unwrap().values()[0..12].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let ms = proc.top_k(&q, MatchMode::Exact(12), 5, None).unwrap();
         assert!(!ms.is_empty() && ms.len() <= 5);
         for w in ms.windows(2) {
@@ -1841,7 +1739,7 @@ mod tests {
         };
         let b = OnexBase::build_prenormalized(d, cfg).unwrap();
         let q = vec![0.0, 0.1, 0.4, 0.9, 1.0, 0.9, 0.4, 0.1];
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let m = proc.best_match(&q, MatchMode::Exact(8), None).unwrap();
         assert_eq!(m.subseq.series, 6, "must come from the planted series");
         assert!(m.raw_dtw < 0.2, "raw {}", m.raw_dtw);
@@ -1856,7 +1754,7 @@ mod tests {
         };
         let b = OnexBase::build(&d, cfg).unwrap();
         let q: Vec<f64> = b.dataset().get(0).unwrap().values()[2..12].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let st = 0.05;
         let verified = proc
             .within_threshold(&q, MatchMode::Exact(10), Some(st), true)
@@ -1886,7 +1784,7 @@ mod tests {
         };
         let b = OnexBase::build(&d, cfg).unwrap();
         let q: Vec<f64> = b.dataset().get(1).unwrap().values()[0..8].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let st = b.config().st;
         let certified = proc
             .within_threshold(&q, MatchMode::Exact(8), Some(st), false)
@@ -1911,7 +1809,7 @@ mod tests {
     fn range_query_any_length_spans_lengths() {
         let b = base();
         let q: Vec<f64> = b.dataset().get(0).unwrap().values()[0..10].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let ms = proc
             .within_threshold(&q, MatchMode::Any, Some(0.2), true)
             .unwrap();
@@ -1926,20 +1824,21 @@ mod tests {
         let d = synth::face(24, 32, 5);
         let b = OnexBase::build(&d, OnexConfig::default()).unwrap();
         let q: Vec<f64> = b.dataset().get(0).unwrap().values()[4..20].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let _ = proc.best_match(&q, MatchMode::Exact(16), None).unwrap();
-        let s = proc.stats;
-        assert!(s.reps_examined > 0);
+        let s = proc.ctx.stats;
+        assert!(s.groups_visited > 0);
         assert_eq!(s.lengths_visited, 1);
-        assert!(
-            s.rep_dtw_evals + s.reps_lb_pruned <= s.reps_examined,
-            "{s:?}"
-        );
+        // Every visited representative was either evaluated or pruned (or
+        // neither, once the budget ran out): rep work is what the merged
+        // counters hold beyond the member work.
+        let rep_evals = s.dtw_evals - s.members_examined;
+        let rep_prunes = s.lb_prunes - s.members_lb_pruned;
+        assert!(rep_evals + rep_prunes <= s.groups_visited, "{s:?}");
         assert!(s.members_examined >= 1);
-        assert_eq!(s.dtw_evals(), s.rep_dtw_evals + s.members_examined);
         // stats reset between queries
         let _ = proc.best_match(&q, MatchMode::Exact(16), None).unwrap();
-        assert_eq!(proc.stats.lengths_visited, 1);
+        assert_eq!(proc.ctx.stats.lengths_visited, 1);
     }
 
     #[test]
@@ -1948,7 +1847,7 @@ mod tests {
         // match itself is a min and must be identical.
         let b = base();
         let q: Vec<f64> = b.dataset().get(2).unwrap().values()[1..13].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let a = proc.best_match(&q, MatchMode::Exact(12), None).unwrap();
         let c = proc
             .best_match(&q, MatchMode::Exact(12), Some(0.9))
@@ -1977,7 +1876,7 @@ mod tests {
         let q: Vec<f64> = b.dataset().get(1).unwrap().values()[2..18].to_vec();
         let mut with = SearchCtx::default();
         let mut without = SearchCtx::default();
-        // Pinned sequential: the rep_dtw_evals comparison below is a
+        // Pinned sequential: the rep-evaluation comparison below is a
         // cross-run counter identity, which only the sequential scan
         // guarantees (the shared parallel cutoff tightens with timing).
         let p_on = SearchParams {
@@ -1991,8 +1890,9 @@ mod tests {
         let m_on = best_match(&b, &q, MatchMode::Exact(16), &p_on, &mut with).unwrap();
         let m_off = best_match(&b, &q, MatchMode::Exact(16), &p_off, &mut without).unwrap();
         assert_eq!(m_on, m_off);
-        assert_eq!(without.stats.reps_lb_pruned, 0);
-        assert!(without.stats.rep_dtw_evals >= with.stats.rep_dtw_evals);
+        assert_eq!(without.stats.lb_prunes, 0);
+        let rep_evals = |s: &QueryStats| s.dtw_evals - s.members_examined;
+        assert!(rep_evals(&without.stats) >= rep_evals(&with.stats));
     }
 
     #[test]
@@ -2031,7 +1931,7 @@ mod tests {
                     ));
                     let mut ctx = SearchCtx::default();
                     let _ = best_match(&b, &q, mode, p, &mut ctx).unwrap();
-                    evals.push(ctx.stats.dtw_evals());
+                    evals.push(ctx.stats.dtw_evals);
                 }
                 assert_eq!(results[0], results[1], "cascade vs rep-only, {mode:?}");
                 assert_eq!(results[0], results[2], "cascade vs unpruned, {mode:?}");
@@ -2056,17 +1956,17 @@ mod tests {
         let s = ctx.stats;
         // Per-tier counts always account exactly for the aggregate prunes.
         assert_eq!(
-            s.lb_pruned(),
+            s.lb_prunes,
             s.pruned_paa + s.pruned_kim + s.pruned_keogh_eq + s.pruned_keogh_ec,
             "{s:?}"
         );
-        assert_eq!(s.lb_pruned(), s.reps_lb_pruned + s.members_lb_pruned);
+        assert!(s.members_lb_pruned <= s.lb_prunes, "{s:?}");
         // On this workload the pipeline does real work at both levels,
         // including the sketch tier in front of everything O(n).
         assert!(s.lb_keogh_evals > 0, "{s:?}");
-        assert!(s.lb_pruned() > 0, "{s:?}");
+        assert!(s.lb_prunes > 0, "{s:?}");
         assert!(s.pruned_paa > 0, "tier 0 must fire on this workload: {s:?}");
-        assert!(s.early_abandons <= s.dtw_evals());
+        assert!(s.early_abandons <= s.dtw_evals);
         // And disabling LB zeroes every cascade counter.
         let mut off = SearchCtx::default();
         let p_off = SearchParams {
@@ -2075,7 +1975,7 @@ mod tests {
         };
         let _ = top_k(&b, &q, MatchMode::Exact(20), 3, &p_off, &mut off).unwrap();
         let s = off.stats;
-        assert_eq!(s.lb_pruned(), 0);
+        assert_eq!(s.lb_prunes, 0);
         assert_eq!(s.lb_keogh_evals, 0);
         assert_eq!(
             s.pruned_paa + s.pruned_kim + s.pruned_keogh_eq + s.pruned_keogh_ec,
@@ -2160,7 +2060,7 @@ mod tests {
         };
         let b = OnexBase::build(&d, cfg).unwrap();
         let q: Vec<f64> = b.dataset().get(1).unwrap().values()[0..8].to_vec();
-        let mut proc = SimilarityQuery::new(&b);
+        let mut proc = Searcher::new(&b);
         let certified = proc
             .within_threshold(&q, MatchMode::Exact(8), None, false)
             .unwrap();
@@ -2188,12 +2088,15 @@ mod tests {
         };
         let mut ctx = SearchCtx::default();
         let m = best_match(&b, &q, MatchMode::Exact(12), &p, &mut ctx);
-        assert!(ctx.truncated, "a 2-eval budget must truncate this search");
+        assert!(
+            ctx.stats.truncated,
+            "a 2-eval budget must truncate this search"
+        );
         // Anytime semantics: whatever was found within budget is returned.
         if let Ok(m) = m {
             assert!(m.dist.is_finite());
         }
-        assert!(ctx.stats.dtw_evals() <= 3, "{:?}", ctx.stats);
+        assert!(ctx.stats.dtw_evals <= 3, "{:?}", ctx.stats);
     }
 
     #[test]
@@ -2206,6 +2109,6 @@ mod tests {
         };
         let mut ctx = SearchCtx::default();
         let _ = best_match(&b, &q, MatchMode::Exact(12), &p, &mut ctx);
-        assert!(ctx.truncated);
+        assert!(ctx.stats.truncated);
     }
 }

@@ -30,18 +30,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 /// Refines `base` to the new threshold `st_prime`, reusing the precomputed
-/// grouping (split or cascade-merge) instead of rebuilding from raw data.
-#[deprecated(
-    since = "0.3.0",
-    note = "use Explorer::refine_to — same refinement, plus atomic epoch hot-swap under live traffic"
-)]
-pub fn refine(base: &OnexBase, st_prime: f64) -> Result<OnexBase> {
-    refine_impl(base, st_prime)
-}
-
-/// Shared refinement behind [`refine`] and
-/// [`crate::engine::Explorer::refine_to`]. Deterministic for a given base:
-/// the merge order is seeded from `config.seed ^ st_prime.to_bits()`.
+/// grouping (split or cascade-merge) instead of rebuilding from raw data —
+/// the refinement behind [`crate::engine::Explorer::refine_to`] and WAL
+/// replay. Deterministic for a given base: the merge order is seeded from
+/// `config.seed ^ st_prime.to_bits()`.
 pub(crate) fn refine_impl(base: &OnexBase, st_prime: f64) -> Result<OnexBase> {
     if !st_prime.is_finite() || st_prime <= 0.0 {
         return Err(OnexError::InvalidThreshold(st_prime));

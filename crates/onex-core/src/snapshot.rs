@@ -56,8 +56,7 @@
 //! is repaired on load, length by length, instead of rejected.
 //!
 //! The file-level entry points are [`crate::engine::Explorer::save`] /
-//! [`crate::engine::Explorer::load`]; the free functions [`save`]/[`load`]
-//! remain as deprecated shims over the same codec.
+//! [`crate::engine::Explorer::load`].
 
 use crate::base::without_reuse;
 use crate::store::LengthSlab;
@@ -221,31 +220,7 @@ pub fn decode_with_epoch(buf: &[u8]) -> Result<(OnexBase, u64)> {
     }
 }
 
-/// Writes a snapshot to a file (current format, epoch 0).
-///
-/// Filesystem failures now surface as [`OnexError::Io`] (with the path in
-/// the message) instead of the pre-v2 `OnexError::Ts` wrapping.
-#[deprecated(
-    since = "0.3.0",
-    note = "use Explorer::save — same bytes, plus the explorer's live epoch in the header (file errors are now OnexError::Io)"
-)]
-pub fn save(base: &OnexBase, path: impl AsRef<Path>) -> Result<()> {
-    write_snapshot(base, 0, path)
-}
-
-/// Loads a snapshot from a file (any version).
-///
-/// Filesystem failures now surface as [`OnexError::Io`] (with the path in
-/// the message) instead of the pre-v2 `OnexError::Ts` wrapping.
-#[deprecated(
-    since = "0.3.0",
-    note = "use Explorer::load (or ExplorerBuilder::from_snapshot) — same decoding, epoch restored (file errors are now OnexError::Io)"
-)]
-pub fn load(path: impl AsRef<Path>) -> Result<OnexBase> {
-    read_snapshot(path).map(|(base, _)| base)
-}
-
-/// Shared file writer behind [`save`] and [`crate::engine::Explorer::save`].
+/// The file writer behind [`crate::engine::Explorer::save`].
 ///
 /// The write is **atomic**: bytes go to a `.tmp` sibling first, are fsynced,
 /// and only then renamed over the destination (followed by a best-effort
@@ -305,7 +280,7 @@ pub(crate) fn write_snapshot(base: &OnexBase, epoch: u64, path: impl AsRef<Path>
     Ok(())
 }
 
-/// Shared file reader behind [`load`] and [`crate::engine::Explorer::load`].
+/// The file reader behind [`crate::engine::Explorer::load`].
 ///
 /// Misuse that `std::fs::read` reports confusingly (or not at all) is
 /// pre-checked into typed [`OnexError::Io`] values naming the path: a
@@ -1084,22 +1059,6 @@ mod tests {
         let (r, epoch) = read_snapshot(&path).unwrap();
         assert_eq!(b, r);
         assert_eq!(epoch, 7);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn deprecated_save_matches_epoch_zero_encoding() {
-        let b = base();
-        let dir = std::env::temp_dir().join(format!("onex_snapshot_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy-save.onex");
-        #[allow(deprecated, reason = "tests the deprecated shim")]
-        save(&b, &path).unwrap();
-        let written = std::fs::read(&path).unwrap();
-        assert_eq!(&written[..], &encode_with_epoch(&b, 0)[..]);
-        #[allow(deprecated, reason = "tests the deprecated shim")]
-        let r = load(&path).unwrap();
-        assert_eq!(b, r);
         std::fs::remove_file(&path).ok();
     }
 

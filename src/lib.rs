@@ -165,9 +165,8 @@
 //! | v4 | v3 + the **PAA sketch planes** as bulk blocks per length (sketch width, rep sketch slab, PAA'd envelope lo/hi slabs, flat member-sketch planes) and the `paa_width` knob in the config header | CRC-32 footer | `snapshot::encode_v4_with_epoch` (downgrade feeds; was the default before the word planes) | this revision and the previous one |
 //! | v5 | v4 + the **symbolic word planes** as bulk blocks per length (rep word slab, flat member-word planes) and the `sax_alphabet` knob in the config header | CRC-32 footer | [`Explorer::save`] and `snapshot::encode` (the default) | this revision |
 //!
-//! All current load paths ([`Explorer::load`],
-//! [`ExplorerBuilder::from_snapshot`], deprecated `snapshot::load`) accept
-//! any version; loading v1–v4 recomputes the missing sketch and/or word
+//! Both load paths ([`Explorer::load`],
+//! [`ExplorerBuilder::from_snapshot`]) accept any version; loading v1–v4 recomputes the missing sketch and/or word
 //! planes from the decoded groups (bit-identical to the
 //! incrementally-maintained ones);
 //! corrupt v2+ files (truncation, bit rot) are rejected as
@@ -322,24 +321,21 @@
 //! differential property test pins it), so every counter below is
 //! unchanged by it.
 //!
-//! **Work** is tracked by `BENCH_pr10.json`: per-query-class DTW and
-//! member evaluations, per-tier prune rates and word-index counters on
-//! the synthetic datasets, plus the window/band parameters actually
-//! resolved per dataset, recorded with `query_threads: 1` so the counters
-//! are machine-independent (the older `BENCH_pr*.json` files are the
-//! records of earlier engine generations). Regenerate or inspect it with:
+//! **Work** is an exact tier-1 contract: the `onex-bench` test
+//! `work_counters.rs` runs the §6.2 query mix (best-match exact and
+//! any-length, top-10, verified range) under the full cascade, the
+//! representative-only bound and no bounds on three synthetic datasets,
+//! with `query_threads: 1` so the counters are machine-independent, and
+//! compares every [`QueryStats`] counter, one per line, with the checked-in
+//! `crates/onex-bench/tests/work_counters.txt`. "Same work" is that test
+//! passing; a change that moves work on purpose re-blesses the file with
+//! the command the failing test prints,
 //!
 //! ```sh
-//! cargo run -p onex-bench --release --bin repro -- perf --scale 0.25 --json BENCH_pr10.json
+//! cp target/tmp/work_counters.actual crates/onex-bench/tests/work_counters.txt
 //! ```
 //!
-//! CI replays the same run with `--check-against BENCH_pr10.json` and
-//! fails when best-match *or top-k* DTW or member evaluations regress
-//! more than 2×, the tier-0 prune rate falls below half the baseline's,
-//! or the word index stops engaging (zero `groups_skipped_by_index` on
-//! any dataset) — exact counters only, so the gate is stable on shared
-//! runners; the latencies that run prints are for the reader and nothing
-//! checks them.
+//! and the move is a reviewable text diff.
 //!
 //! **Wall-clock** is the repo benchmark's: `BENCHMARK.json` declares the
 //! command, three workloads (a 1.24 M-subsequence base, a 22 k-group
@@ -374,7 +370,7 @@
 //! | no stdout/stderr from libraries | `clippy::{print_stdout, print_stderr}` in the same deny list, plus `onex-baselines` |
 //! | every waiver justified | `#[expect(<lint>, reason = "…")]` at the waived site; `clippy::allow_attributes_without_reason` makes every `#[allow]` state its reason too |
 //! | every I/O error names its path | a type: [`OnexError::Io`] holds a [`core::IoError`], whose only constructor takes the path |
-//! | every `QueryStats` counter in the perf baseline | a test: `harness_smoke.rs` checks each counter is a key of every perf cell |
+//! | every counter summed, named and recorded | a type: the counter block — one macro emits [`QueryStats`], its names, its roll-up and the iterator the golden work file is written from |
 //!
 //! Two conventions are checked in review, not by a tool: every atomic
 //! `Ordering::` use carries an `// ordering:` comment saying why that
@@ -399,27 +395,6 @@
 //! cargo run -p onex-bench --release --bin repro -- audit
 //! ```
 //!
-//! ## Migrating from the per-class and free-function entry points
-//!
-//! The pre-engine entry points still compile but are deprecated shims over
-//! the same internals:
-//!
-//! | deprecated | replacement |
-//! |------------|-------------|
-//! | `SimilarityQuery::best_match/top_k/within_threshold` | [`Explorer::best_match`] / [`Explorer::top_k`] / [`Explorer::within_threshold`] |
-//! | `query::seasonal_all` / `query::seasonal_for_series` | [`Explorer::seasonal_all`] / [`Explorer::seasonal_for_series`] |
-//! | `query::recommend` | [`Explorer::recommend`] |
-//! | `query::best_match_batch` | [`QueryRequest::Batch`] via [`Explorer::query`] |
-//! | `maintain::append_series` | [`Explorer::append_series`] (plus the new [`Explorer::remove_series`]) |
-//! | `refine::refine` | [`Explorer::refine_to`] |
-//! | `snapshot::save` / `snapshot::load` | [`Explorer::save`] / [`Explorer::load`] (or [`ExplorerBuilder::from_snapshot`]) |
-//!
-//! The deprecated paths return bit-identical results; they differ only in
-//! taking the base by `&`/value (no epoch hot-swap, callers serialize
-//! themselves) and in lacking budgets/stats. Snapshots written by the
-//! deprecated `save` are v5 at epoch 0; v1–v4 files from older builds
-//! still load everywhere.
-//!
 //! ## Crate map
 //!
 //! | module | contents |
@@ -443,8 +418,6 @@ pub use onex_dist as dist;
 pub use onex_ts as ts;
 
 pub use onex_baselines::{BaselineMatch, BruteForce, PaaSearch, Spring, Trillion};
-#[allow(deprecated, reason = "part of the deprecated shim surface")]
-pub use onex_core::SimilarityQuery;
 pub use onex_core::{
     BuildMode, Explorer, ExplorerBuilder, Match, MatchMode, OnexBase, OnexConfig, OnexError,
     PinnedExplorer, QueryOptions, QueryRequest, QueryResponse, QueryResult, QueryStats,

@@ -1,20 +1,17 @@
-//! The unified-engine contract, tested from the outside:
+//! The unified-engine contract, tested from the outside through the
+//! public `onex` facade:
 //!
-//! 1. **Equivalence** — `Explorer` must return *byte-identical* answers to
-//!    the legacy per-class entry points (`SimilarityQuery`, `seasonal_*`,
-//!    `recommend`, `best_match_batch`) for every query class, across a
-//!    spread of queries on a synthetic dataset. The engine reroutes the
-//!    same internals, so any drift is a bug.
+//! 1. **Pruning is invisible** — every Class I query form returns
+//!    byte-identical answers with the lower-bound cascade on, reduced to
+//!    the representative-level bound, or off, while the cascade does
+//!    strictly less DTW work.
 //! 2. **Concurrency** — one shared `Arc<OnexBase>` must serve queries from
 //!    many threads simultaneously, each answer identical to the
-//!    single-threaded one.
-#![allow(deprecated)]
+//!    single-threaded one, and a `Batch` request mixes every class over
+//!    one shared base.
 
 use onex::ts::synth;
-use onex::{
-    Explorer, MatchMode, OnexBase, OnexConfig, QueryOptions, QueryRequest, SimilarityDegree,
-    SimilarityQuery,
-};
+use onex::{Explorer, MatchMode, OnexBase, OnexConfig, QueryOptions, QueryRequest};
 use std::sync::Arc;
 
 fn base() -> OnexBase {
@@ -40,55 +37,6 @@ fn queries(base: &OnexBase) -> Vec<Vec<f64>> {
         out.push(base.dataset().series()[sid].values()[lo..hi].to_vec());
     }
     out
-}
-
-#[test]
-fn best_match_identical_to_legacy_in_both_modes() {
-    let b = base();
-    let explorer = Explorer::new(Arc::new(b.clone()));
-    let mut legacy = SimilarityQuery::new(&b);
-    for q in queries(&b) {
-        for mode in [MatchMode::Any, MatchMode::Exact(q.len())] {
-            let old = legacy.best_match(&q, mode, None).unwrap();
-            let new = explorer
-                .best_match(&q, mode, QueryOptions::default())
-                .unwrap();
-            assert_eq!(old, new, "mode {mode:?}, qlen {}", q.len());
-        }
-        // And with an ST override.
-        let old = legacy.best_match(&q, MatchMode::Any, Some(0.4)).unwrap();
-        let new = explorer
-            .best_match(&q, MatchMode::Any, QueryOptions::with_st(0.4))
-            .unwrap();
-        assert_eq!(old, new);
-    }
-}
-
-#[test]
-fn top_k_and_range_identical_to_legacy() {
-    let b = base();
-    let explorer = Explorer::new(Arc::new(b.clone()));
-    let mut legacy = SimilarityQuery::new(&b);
-    for q in queries(&b) {
-        for k in [1usize, 3, 10] {
-            let old = legacy
-                .top_k(&q, MatchMode::Exact(q.len()), k, None)
-                .unwrap();
-            let new = explorer
-                .top_k(&q, MatchMode::Exact(q.len()), k, QueryOptions::default())
-                .unwrap();
-            assert_eq!(old, new, "k={k}");
-        }
-        for verify in [false, true] {
-            let old = legacy
-                .within_threshold(&q, MatchMode::Any, Some(0.15), verify)
-                .unwrap();
-            let new = explorer
-                .within_threshold(&q, MatchMode::Any, verify, QueryOptions::with_st(0.15))
-                .unwrap();
-            assert_eq!(old, new, "verify={verify}");
-        }
-    }
 }
 
 #[test]
@@ -179,69 +127,6 @@ fn cascade_reduces_dtw_evaluations() {
         evals_on < evals_off,
         "cascade must cut DTW work: {evals_on} vs {evals_off}"
     );
-}
-
-#[test]
-fn seasonal_and_recommend_identical_to_legacy() {
-    let b = base();
-    let explorer = Explorer::new(Arc::new(b.clone()));
-    for len in [2usize, 8, 16, 24] {
-        assert_eq!(
-            onex::core::query::seasonal_all(&b, len, 2).unwrap(),
-            explorer.seasonal_all(len, 2).unwrap(),
-            "len={len}"
-        );
-        for sid in 0..b.dataset().len() {
-            assert_eq!(
-                onex::core::query::seasonal_for_series(&b, sid, len, 2).unwrap(),
-                explorer.seasonal_for_series(sid, len, 2).unwrap(),
-                "sid={sid} len={len}"
-            );
-        }
-    }
-    for degree in [
-        None,
-        Some(SimilarityDegree::Strict),
-        Some(SimilarityDegree::Medium),
-        Some(SimilarityDegree::Loose),
-    ] {
-        for len in [None, Some(8usize), Some(16)] {
-            assert_eq!(
-                onex::core::query::recommend(&b, degree, len).unwrap(),
-                explorer.recommend(degree, len).unwrap(),
-                "degree={degree:?} len={len:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn batch_shim_identical_to_engine_batch() {
-    let b = base();
-    let explorer = Explorer::new(Arc::new(b.clone()));
-    let qs: Vec<onex::core::query::BatchQuery> = queries(&b)
-        .into_iter()
-        .map(onex::core::query::BatchQuery::any)
-        .collect();
-    let legacy = onex::core::query::best_match_batch(&b, &qs, 4);
-    let requests: Vec<QueryRequest> = qs
-        .iter()
-        .map(|q| QueryRequest::best_match(q.values.clone(), MatchMode::Any))
-        .collect();
-    let resp = explorer
-        .query(QueryRequest::Batch {
-            requests,
-            threads: 4,
-        })
-        .unwrap();
-    let engine = resp.result.batch().unwrap();
-    assert_eq!(legacy.len(), engine.len());
-    for (old, new) in legacy.iter().zip(engine) {
-        assert_eq!(
-            old.as_ref().unwrap(),
-            new.as_ref().unwrap().result.best_match().unwrap()
-        );
-    }
 }
 
 #[test]

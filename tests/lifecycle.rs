@@ -5,15 +5,16 @@
 //!    series and re-thresholds the base. No reader ever errors, every
 //!    reader observes a monotone epoch sequence, and queries issued after
 //!    the swaps see the appended data.
-//! 2. **Shim equivalence** — the deprecated lifecycle free functions
-//!    (`maintain::append_series`, `refine::refine`, `snapshot::save`) must
-//!    produce results *byte-identical* to the new `Explorer` methods.
-//! 3. **Snapshot compatibility** — every legacy format (v1 through v4)
-//!    still loads equivalent to the current v5, epochs survive where the
-//!    format carries them, and the persisted symbolic word index always
-//!    matches a from-scratch rebuild bit for bit.
+//! 2. **Snapshot compatibility** — every legacy format (v1 through v4)
+//!    still loads equivalent to the current v5 through `Explorer::load`,
+//!    epochs survive where the format carries them, and the persisted
+//!    symbolic word index always matches a from-scratch rebuild bit for bit.
+//! 3. **Hostile files** — truncated, bit-flipped and re-sealed snapshots and
+//!    damaged WAL sidecars are rejected with typed errors, never panics. The
+//!    snapshot sweep covers every byte of the header and the tail and an
+//!    even spread in between, so it stays a few seconds in a debug build.
 
-use onex::core::{maintain, refine, snapshot};
+use onex::core::snapshot;
 use onex::ts::synth;
 use onex::{
     Explorer, ExplorerBuilder, MatchMode, OnexBase, OnexConfig, QueryOptions, QueryRequest,
@@ -136,72 +137,15 @@ fn readers_never_block_or_fail_while_writer_appends_and_refines() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn deprecated_append_series_is_byte_identical_to_explorer_method() {
-    let b = base();
-    let novel = novel_series(1);
-    let (via_free, idx_free) = maintain::append_series(b.clone(), novel.clone()).unwrap();
-    let explorer = Explorer::from_base(b);
-    let idx_new = explorer.append_series(novel).unwrap();
-    assert_eq!(idx_free, idx_new);
-    assert_eq!(
-        snapshot::encode(&via_free).to_vec(),
-        snapshot::encode(&explorer.base()).to_vec(),
-        "append shim and Explorer::append_series must produce identical bases"
-    );
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_refine_is_byte_identical_to_refine_to() {
-    let b = base();
-    for st_prime in [0.1, 0.35] {
-        let via_free = refine::refine(&b, st_prime).unwrap();
-        let explorer = Explorer::from_base(b.clone());
-        explorer.refine_to(st_prime).unwrap();
-        assert_eq!(
-            snapshot::encode(&via_free).to_vec(),
-            snapshot::encode(&explorer.base()).to_vec(),
-            "refine shim and Explorer::refine_to must produce identical bases (ST'={st_prime})"
-        );
-    }
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_save_writes_the_same_bytes_as_explorer_save() {
-    let b = base();
-    let dir = test_dir();
-    std::fs::create_dir_all(&dir).unwrap();
-    let p_free = dir.join("free.onex");
-    let p_new = dir.join("new.onex");
-    snapshot::save(&b, &p_free).unwrap();
-    // A fresh explorer is at epoch 0, exactly what the deprecated path
-    // stamps.
-    Explorer::from_base(b.clone()).save(&p_new).unwrap();
-    assert_eq!(
-        std::fs::read(&p_free).unwrap(),
-        std::fs::read(&p_new).unwrap(),
-        "snapshot::save and Explorer::save at epoch 0 must write identical files"
-    );
-    // And the deprecated loader reads what the new writer wrote.
-    assert_eq!(snapshot::load(&p_new).unwrap(), b);
-    std::fs::remove_file(&p_free).ok();
-    std::fs::remove_file(&p_new).ok();
-}
-
-#[test]
-#[allow(deprecated)]
 fn v1_snapshot_written_before_this_revision_still_loads() {
     let b = base();
-    // Byte-for-byte what the previous revision's `snapshot::save` wrote.
+    // Byte-for-byte what a pre-v2 revision wrote.
     let dir = test_dir();
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("pre-v2.onex");
     std::fs::write(&path, snapshot::encode_v1(&b)).unwrap();
 
-    // Loads through every current entry point, at epoch 0.
-    assert_eq!(snapshot::load(&path).unwrap(), b);
+    // Loads through both entry points, at epoch 0.
     let explorer = Explorer::load(&path).unwrap();
     assert_eq!(explorer.epoch(), 0);
     assert_eq!(*explorer.base(), b);
@@ -376,43 +320,72 @@ fn lifecycle_mutations_keep_the_symbolic_index_equal_to_a_rebuild() {
     assert_symindex_matches_rebuild(&explorer.base());
 }
 
+/// The IEEE CRC-32 state after feeding `data` into `state` (start from
+/// `!0`, finish with `!state`); written out bit by bit here so the test
+/// does not lean on the codec's own table.
+fn crc32_feed(mut state: u32, data: &[u8]) -> u32 {
+    for &byte in data {
+        state ^= u32::from(byte);
+        for _ in 0..8 {
+            state = if state & 1 != 0 {
+                0xEDB8_8320 ^ (state >> 1)
+            } else {
+                state >> 1
+            };
+        }
+    }
+    state
+}
+
+/// The byte offsets a corruption sweep over an `n`-byte snapshot visits,
+/// ascending: every byte of the first 64 (magic, version, epoch, config
+/// header) and of the last 128 (the word planes and the CRC footer), plus
+/// 256 evenly spaced offsets through the columnar payload between them.
+fn sweep_offsets(n: usize) -> Vec<usize> {
+    let mut at: Vec<usize> = (0..64.min(n))
+        .chain(n.saturating_sub(128)..n)
+        .chain((0..256).map(|i| i * n / 256))
+        .collect();
+    at.sort_unstable();
+    at.dedup();
+    at
+}
+
 #[test]
 fn v5_truncation_and_bit_flips_are_rejected_not_panics() {
     let b = base();
     let bytes = snapshot::encode_with_epoch(&b, 4).to_vec();
     assert_eq!(bytes[4], 5, "current snapshots are v5");
-    // Truncation at every 7-byte stride (including mid-slab and mid-word-
-    // block positions): clean SnapshotCorrupt, never a panic or a bogus
-    // base.
-    for cut in (0..bytes.len()).step_by(7) {
-        let err = snapshot::decode(&bytes[..cut]).unwrap_err();
-        assert!(matches!(err, onex::OnexError::SnapshotCorrupt(_)));
-    }
-    // Bit flips across header, epoch, columnar payload and CRC footer.
-    for at in (0..bytes.len()).step_by(41).chain([bytes.len() - 1]) {
-        for bit in [0u8, 3, 7] {
-            let mut mutated = bytes.clone();
-            mutated[at] ^= 1 << bit;
-            let err = snapshot::decode(&mutated).unwrap_err();
-            assert!(
-                matches!(err, onex::OnexError::SnapshotCorrupt(_)),
-                "flip at byte {at} bit {bit} must be rejected"
-            );
-        }
-    }
-    // Dense flips over the tail of the payload — the symbolic word
-    // planes land just before the CRC footer, so this sweep hits every
-    // byte of the index blocks the stride above may have skipped.
-    let tail = bytes.len().saturating_sub(96);
-    for at in tail..bytes.len() {
-        let mut mutated = bytes.clone();
-        mutated[at] ^= 0x40;
-        let err = snapshot::decode(&mutated).unwrap_err();
+    let corrupt = |what: &str, at: usize, buf: &[u8]| {
+        let err = snapshot::decode(buf).unwrap_err();
         assert!(
             matches!(err, onex::OnexError::SnapshotCorrupt(_)),
-            "word-plane flip at byte {at} must be rejected"
+            "{what} at byte {at} must be SnapshotCorrupt, got {err:?}"
         );
+    };
+    let body_len = bytes.len() - 4;
+    let mut crc = (!0u32, 0usize); // running CRC state over bytes[..crc.1]
+    for at in sweep_offsets(bytes.len()) {
+        // Truncation: the CRC check rejects it before any parsing.
+        corrupt("truncation", at, &bytes[..at]);
+        // The same cut re-sealed with a valid CRC, so the columnar parser
+        // itself meets the truncated payload and must refuse it cleanly.
+        if at < body_len {
+            crc = (crc32_feed(crc.0, &bytes[crc.1..at]), at);
+            let mut sealed = bytes[..at].to_vec();
+            sealed.extend_from_slice(&(!crc.0).to_le_bytes());
+            corrupt("re-sealed truncation", at, &sealed);
+        }
+        // A bit flip anywhere — header, epoch, payload or the CRC itself.
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 1 << (at % 8);
+        corrupt("bit flip", at, &flipped);
     }
+    // The re-sealing matches the codec: sealing the whole body reproduces
+    // the file, which decodes.
+    let sealed_crc = !crc32_feed(crc.0, &bytes[crc.1..body_len]);
+    assert_eq!(bytes[body_len..], sealed_crc.to_le_bytes());
+    assert!(snapshot::decode(&bytes).is_ok());
 }
 
 // ---- WAL hostile inputs & typed IO errors ----
@@ -525,7 +498,6 @@ fn empty_and_header_only_wal_sidecars_recover_as_no_ops() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn loading_a_directory_or_empty_snapshot_is_a_typed_io_error_with_the_path() {
     let dir = test_dir().join("typed-io");
     std::fs::create_dir_all(&dir).unwrap();
@@ -541,7 +513,7 @@ fn loading_a_directory_or_empty_snapshot_is_a_typed_io_error_with_the_path() {
     // A zero-length file.
     let empty = dir.join("empty.onex");
     std::fs::write(&empty, []).unwrap();
-    let err = snapshot::load(&empty).unwrap_err();
+    let err = Explorer::load(&empty).unwrap_err();
     match &err {
         onex::OnexError::Io(e) => {
             assert!(e.to_string().contains("empty"), "{e}");
