@@ -1721,7 +1721,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_and_oversized_pool() {
+    fn empty_batch() {
         let e = explorer();
         let resp = e
             .query(QueryRequest::Batch {
@@ -1731,9 +1731,13 @@ mod tests {
             .unwrap();
         assert!(resp.result.batch().unwrap().is_empty());
         assert_eq!(resp.stats.dtw_evals, 0);
+    }
 
+    #[test]
+    fn thread_count_clamps() {
         // A pool wider than the batch is clamped to it: every child still
         // answers, in request order.
+        let e = explorer();
         let queries: Vec<Vec<f64>> = (0..3)
             .map(|i| e.base().dataset().series()[i].values()[i..i + 10].to_vec())
             .collect();
