@@ -650,6 +650,85 @@ mod tests {
         assert!(err.to_string().contains("invariant violation"), "{err}");
     }
 
+    /// One length-`len` slab holding a singleton group per ref (values read
+    /// from `built_on`), assembled over `dataset`. Store, GTI and symbolic
+    /// index are consistent with the slab, so only the refs can be wrong.
+    fn singleton_base(
+        dataset: &Dataset,
+        built_on: &Dataset,
+        config: &OnexConfig,
+        len: usize,
+        refs: &[onex_ts::SubseqRef],
+    ) -> OnexBase {
+        let mut slab = LengthSlab::new(len, config.paa_width.clamp(1, len), config.sax_alphabet);
+        for &r in refs {
+            let local = slab.seed(r, built_on.subseq(r).unwrap());
+            slab.finalize(local, built_on, 1);
+        }
+        OnexBase::assemble(
+            dataset.clone(),
+            None,
+            config.clone(),
+            without_reuse(vec![slab]),
+        )
+    }
+
+    #[test]
+    fn membership_partition_rejects_every_broken_cover() {
+        let len = 4;
+        let config = OnexConfig {
+            decomposition: onex_ts::Decomposition {
+                min_len: len,
+                max_len: Some(len),
+                len_stride: 1,
+                start_stride: 2,
+            },
+            ..OnexConfig::default()
+        };
+        let d = synth::sine_mix(3, 10, 2, 5);
+        let refs: Vec<onex_ts::SubseqRef> = d.subseqs_of_len(len, &config.decomposition).collect();
+        singleton_base(&d, &d, &config, len, &refs)
+            .validate_invariants()
+            .unwrap();
+
+        let series: Vec<onex_ts::TimeSeries> = d.series().to_vec();
+        let short_first = {
+            let mut s = series.clone();
+            let vals = s[0].values()[..s[0].len() - 1].to_vec();
+            s[0] = onex_ts::TimeSeries::new(vals).unwrap();
+            Dataset::new("short-first", s)
+        };
+        let fewer_series = Dataset::new("fewer-series", series[..series.len() - 1].to_vec());
+        let duplicated = [&refs[..], &refs[..1]].concat();
+        let dropped = refs[..refs.len() - 1].to_vec();
+        let off_stride = {
+            let mut r = refs.clone();
+            r[1].start += 1;
+            r
+        };
+        let cases: [(&str, &Dataset, &[onex_ts::SubseqRef]); 5] = [
+            ("duplicated member", &d, &duplicated),
+            ("dropped member", &d, &dropped),
+            ("start off the stride", &d, &off_stride),
+            ("ref past its series' end", &short_first, &refs),
+            ("series out of range", &fewer_series, &refs),
+        ];
+        for (what, dataset, refs) in cases {
+            let err = singleton_base(dataset, &d, &config, len, refs)
+                .validate_invariants()
+                .unwrap_err();
+            let msg = err.to_string();
+            assert!(
+                matches!(err, OnexError::InvariantViolation(_)),
+                "{what}: {msg}"
+            );
+            assert!(
+                msg.contains(&format!("len {len}")) || msg.contains(&format!("length {len}")),
+                "{what}: the error does not name length {len}: {msg}"
+            );
+        }
+    }
+
     #[test]
     fn validation_checks_def8_in_strict_mode_only() {
         // Paper mode admits against the running mean, so members drift

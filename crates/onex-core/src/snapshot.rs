@@ -1130,6 +1130,47 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_and_wal_bytes_are_pinned() {
+        // `(len, stored crc)` of every checksummed writer's output for one
+        // fixed base, and of one WAL record per op kind, recorded from the
+        // bytewise CRC kernel. Each stored CRC must also equal the current
+        // kernel's CRC of the bytes it covers, so an encoder change that
+        // moves a byte, or a kernel that computes a different value, fails
+        // here.
+        use crate::wal::{encode_record, WalOp};
+        let b = base();
+        let series = TimeSeries::with_label(vec![0.25, -1.5, 3.0, 0.0, 7.125], -2).unwrap();
+        // (name, bytes, first byte the CRC covers): a snapshot's CRC covers
+        // everything before it, a WAL record's skips the length prefix.
+        let outputs: [(&str, Vec<u8>, usize); 7] = [
+            ("v5", encode_with_epoch(&b, 1).to_vec(), 0),
+            ("v4", encode_v4_with_epoch(&b, 1).to_vec(), 0),
+            ("v3", encode_v3_with_epoch(&b, 1).to_vec(), 0),
+            ("v2", encode_v2_with_epoch(&b, 1).to_vec(), 0),
+            ("wal append", encode_record(&WalOp::Append(series), 2), 4),
+            ("wal remove", encode_record(&WalOp::Remove(3), 3), 4),
+            ("wal refine", encode_record(&WalOp::Refine(0.3), 4), 4),
+        ];
+        let pinned: [(&str, usize, u32); 7] = [
+            ("v5", 51_337, 0x9C10_9B0F),
+            ("v4", 47_793, 0x9D8A_53EE),
+            ("v3", 18_209, 0xCAE7_6A84),
+            ("v2", 18_209, 0xBE7B_A5F7),
+            ("wal append", 66, 0x88BC_659F),
+            ("wal remove", 25, 0x3A0C_855C),
+            ("wal refine", 25, 0xAD0C_01D4),
+        ];
+        let mut actual = Vec::new();
+        for (name, bytes, from) in &outputs {
+            let (body, footer) = bytes.split_at(bytes.len() - 4);
+            let stored = u32::from_le_bytes(footer.try_into().unwrap());
+            assert_eq!(crc32(&body[*from..]), stored, "{name}: stored crc");
+            actual.push((*name, bytes.len(), stored));
+        }
+        assert_eq!(actual, pinned, "stored bytes moved: {actual:#x?}");
+    }
+
+    #[test]
     fn crc32_matches_known_vector() {
         // The classic IEEE test vector: crc32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
