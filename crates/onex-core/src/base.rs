@@ -72,6 +72,60 @@ pub(crate) fn without_reuse(slabs: Vec<LengthSlab>) -> Vec<(LengthSlab, Option<R
     slabs.into_iter().map(|slab| (slab, None)).collect()
 }
 
+/// The membership partition at one length: the slab's member refs are
+/// exactly the refs [`Dataset::subseqs_of_len`] yields, none lost,
+/// duplicated or invented. Every ref that iterator can yield has a slot,
+/// its series' offset plus `start / start_stride`. So "every member is such
+/// a ref, no slot is marked twice, and the marked count is the total" is
+/// equality of the two sorted lists, in one pass and without a sort.
+fn check_partition(dataset: &Dataset, start_stride: usize, slab: &LengthSlab) -> Result<()> {
+    let len = slab.subseq_len();
+    let viol = |msg: String| OnexError::InvariantViolation(format!("length {len}: {msg}"));
+    if start_stride == 0 {
+        return Err(viol("start stride 0".into()));
+    }
+    let mut offsets = Vec::with_capacity(dataset.len());
+    let mut total = 0usize;
+    for ts in dataset.series() {
+        offsets.push(total);
+        if ts.len() >= len {
+            total += (ts.len() - len) / start_stride + 1;
+        }
+    }
+    let mut seen = vec![false; total];
+    let mut marked = 0usize;
+    for local in 0..slab.group_count() {
+        for &(r, _) in slab.members(local) {
+            let (series, start) = (r.series as usize, r.start as usize);
+            let yielded = r.len as usize == len
+                && start % start_stride == 0
+                && dataset
+                    .series()
+                    .get(series)
+                    .is_some_and(|ts| start + len <= ts.len());
+            if !yielded {
+                return Err(viol(format!(
+                    "member ({}, {}, {}) is not a subsequence the decomposition yields",
+                    r.series, r.start, r.len
+                )));
+            }
+            if std::mem::replace(&mut seen[offsets[series] + start / start_stride], true) {
+                return Err(viol(format!(
+                    "member ({}, {}, {}) is held twice",
+                    r.series, r.start, r.len
+                )));
+            }
+            marked += 1;
+        }
+    }
+    if marked != total {
+        return Err(viol(format!(
+            "groups hold {marked} members but the dataset decomposes into {total} subsequences"
+        )));
+    }
+    Ok(())
+}
+
 /// The ONEX base: normalized dataset + columnar group store + indexes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnexBase {
@@ -377,23 +431,7 @@ impl OnexBase {
                     )))
                 }
             }
-            let mut have: Vec<onex_ts::SubseqRef> = (0..slab.group_count())
-                .flat_map(|local| slab.members(local).iter().map(|&(r, _)| r))
-                .collect();
-            have.sort_unstable();
-            let mut want: Vec<onex_ts::SubseqRef> = self
-                .dataset
-                .subseqs_of_len(len, &self.config.decomposition)
-                .collect();
-            want.sort_unstable();
-            if have != want {
-                return Err(viol(format!(
-                    "length {len}: groups hold {} members but the dataset decomposes into {} \
-                     subsequences (or the sets differ)",
-                    have.len(),
-                    want.len()
-                )));
-            }
+            check_partition(&self.dataset, self.config.decomposition.start_stride, slab)?;
         }
         let covered: usize = self
             .store
@@ -656,7 +694,7 @@ mod tests {
     fn singleton_base(
         dataset: &Dataset,
         built_on: &Dataset,
-        config: &OnexConfig,
+        config: OnexConfig,
         len: usize,
         refs: &[onex_ts::SubseqRef],
     ) -> OnexBase {
@@ -665,12 +703,7 @@ mod tests {
             let local = slab.seed(r, built_on.subseq(r).unwrap());
             slab.finalize(local, built_on, 1);
         }
-        OnexBase::assemble(
-            dataset.clone(),
-            None,
-            config.clone(),
-            without_reuse(vec![slab]),
-        )
+        OnexBase::assemble(dataset.clone(), None, config, without_reuse(vec![slab]))
     }
 
     #[test]
@@ -687,7 +720,7 @@ mod tests {
         };
         let d = synth::sine_mix(3, 10, 2, 5);
         let refs: Vec<onex_ts::SubseqRef> = d.subseqs_of_len(len, &config.decomposition).collect();
-        singleton_base(&d, &d, &config, len, &refs)
+        singleton_base(&d, &d, config, len, &refs)
             .validate_invariants()
             .unwrap();
 
@@ -714,18 +747,22 @@ mod tests {
             ("series out of range", &fewer_series, &refs),
         ];
         for (what, dataset, refs) in cases {
-            let err = singleton_base(dataset, &d, &config, len, refs)
-                .validate_invariants()
-                .unwrap_err();
-            let msg = err.to_string();
-            assert!(
-                matches!(err, OnexError::InvariantViolation(_)),
-                "{what}: {msg}"
-            );
-            assert!(
-                msg.contains(&format!("len {len}")) || msg.contains(&format!("length {len}")),
-                "{what}: the error does not name length {len}: {msg}"
-            );
+            let base = singleton_base(dataset, &d, config, len, refs);
+            // Through the whole audit (the store's resolve check fires first
+            // on the last two), then the partition check on its own.
+            let whole = base.validate_invariants().unwrap_err();
+            let alone = check_partition(dataset, 2, &base.store().slabs()[0]).unwrap_err();
+            for err in [whole, alone] {
+                let msg = err.to_string();
+                assert!(
+                    matches!(err, OnexError::InvariantViolation(_)),
+                    "{what}: {msg}"
+                );
+                assert!(
+                    msg.contains(&format!("len {len}")) || msg.contains(&format!("length {len}")),
+                    "{what}: the error does not name length {len}: {msg}"
+                );
+            }
         }
     }
 

@@ -87,6 +87,7 @@
 
 mod base;
 mod config;
+mod crc;
 mod error;
 
 pub mod build;

@@ -49,7 +49,8 @@
 //!   like `Dc` and the SP-Space they are deterministic functions of the
 //!   word planes and are rebuilt on load.
 //!
-//! Every version is audited after decoding against every check of
+//! Every version's config must pass [`OnexConfig::validate`] as it is
+//! parsed, and every version is audited after decoding against every check of
 //! [`OnexBase::validate_invariants`] but Def. 8. A
 //! [`crate::BuildMode::Strict`] base that an earlier version saved with
 //! members beyond `√L · ST/2` (its refine merges skipped the Strict repair)
@@ -59,6 +60,7 @@
 //! [`crate::engine::Explorer::load`].
 
 use crate::base::without_reuse;
+use crate::crc::crc32;
 use crate::store::LengthSlab;
 use crate::{IoError, OnexBase, OnexConfig, OnexError, Result};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -702,38 +704,6 @@ fn decode_payload_columnar(buf: &mut &[u8], version: u8) -> Result<OnexBase> {
     ))
 }
 
-/// CRC-32 (IEEE 802.3, the `cksum`/zlib polynomial), table-driven with the
-/// table computed at compile time — no dependency needed. Shared with the
-/// [`crate::wal`] record framing so both durability formats use one CRC.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = crc32_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
 // ---- component encoders/decoders ----
 
 /// Encodes the config. `with_paa` selects the v4+ layout, which appends
@@ -850,7 +820,7 @@ fn decode_config(buf: &mut &[u8], with_paa: bool, with_sax: bool) -> Result<Onex
     } else {
         OnexConfig::default().sax_alphabet
     };
-    Ok(OnexConfig {
+    let config = OnexConfig {
         st,
         window,
         decomposition: Decomposition {
@@ -877,7 +847,14 @@ fn decode_config(buf: &mut &[u8], with_paa: bool, with_sax: bool) -> Result<Onex
         // either way.
         query_threads: 0,
         max_inflight: 0,
-    })
+    };
+    // A CRC-valid file can still carry a config no build accepts (a zero
+    // stride, a non-finite threshold), and everything after the parse
+    // assumes a valid one.
+    config
+        .validate()
+        .map_err(|e| OnexError::SnapshotCorrupt(format!("config: {e}")))?;
+    Ok(config)
 }
 
 fn encode_dataset(out: &mut BytesMut, d: &Dataset) {
@@ -1364,21 +1341,104 @@ mod tests {
     #[test]
     fn no_valid_crc_u64_patch_can_panic_the_columnar_decoder() {
         // Adversarial robustness sweep: overwrite every u64-aligned payload
-        // position with u64::MAX, *recompute the CRC* (so the integrity
-        // footer passes), and decode. Every outcome must be a clean
-        // `Result` — hostile counts, lengths, radii or refs may yield
-        // `SnapshotCorrupt`, but never a panic or overflow.
+        // position with u64::MAX, 0 and 1, *recompute the CRC* (so the
+        // integrity footer passes), and decode. Every outcome must be a
+        // clean `Result` — hostile counts, lengths, radii, refs or config
+        // fields may yield `SnapshotCorrupt`, but never a panic or overflow.
+        // One thread per value: a panic in any of them fails the scope.
         let b = base();
         let bytes = encode_with_epoch(&b, 1).to_vec();
-        let payload = 4 + 1 + 8..bytes.len() - 4;
-        for at in payload.step_by(8) {
-            let mut mutated = bytes.clone();
-            let end = (at + 8).min(mutated.len() - 4);
-            mutated[at..end].fill(0xFF);
-            let body_end = mutated.len() - 4;
-            let crc = crc32(&mutated[..body_end]);
-            mutated[body_end..].copy_from_slice(&crc.to_le_bytes());
-            let _ = decode_with_epoch(&mutated); // must not panic
+        let body_end = bytes.len() - 4;
+        std::thread::scope(|scope| {
+            for value in [u64::MAX, 0, 1] {
+                let bytes = &bytes;
+                scope.spawn(move || {
+                    for at in (4 + 1 + 8..body_end).step_by(8) {
+                        let end = (at + 8).min(body_end);
+                        let mut mutated = bytes.clone();
+                        mutated[at..end].copy_from_slice(&value.to_le_bytes()[..end - at]);
+                        reseal(&mut mutated);
+                        let _ = decode_with_epoch(&mutated); // must not panic
+                    }
+                });
+            }
+        });
+    }
+
+    /// Rewrites the CRC footer over everything before it.
+    fn reseal(bytes: &mut [u8]) {
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+    }
+
+    /// Patches the 8 bytes at `at` of `base()`'s v5 snapshot with each of
+    /// `values`, re-seals the CRC, and requires a `config:` rejection.
+    /// `at` counts from the config's first byte; `was` is the field's
+    /// stored value, which pins the offset.
+    fn assert_config_patch_rejected(at: usize, was: [u8; 8], values: &[[u8; 8]]) {
+        let bytes = encode_with_epoch(&base(), 1).to_vec();
+        let at = 4 + 1 + 8 + at;
+        assert_eq!(bytes[at..at + 8], was, "field offset");
+        for value in values {
+            let mut patched = bytes.clone();
+            patched[at..at + 8].copy_from_slice(value);
+            reseal(&mut patched);
+            match decode_with_epoch(&patched) {
+                Err(OnexError::SnapshotCorrupt(msg)) => {
+                    assert!(msg.starts_with("config: "), "{value:?}: {msg}")
+                }
+                other => panic!("{value:?}: {:?}", other.map(|_| ())),
+            }
         }
+    }
+
+    /// Config offsets of `base()`'s default config: `st`, then a banded
+    /// window (tag + radius), `min_len`, `max_len = None` (tag only), then
+    /// the two strides.
+    const LEN_STRIDE_AT: usize = 8 + 9 + 8 + 1;
+    const START_STRIDE_AT: usize = LEN_STRIDE_AT + 8;
+
+    #[test]
+    fn crc_valid_snapshot_with_zero_len_stride_is_corrupt() {
+        // Used to panic in `step_by(0)` while assembling the base.
+        assert_config_patch_rejected(LEN_STRIDE_AT, 1u64.to_le_bytes(), &[0u64.to_le_bytes()]);
+    }
+
+    #[test]
+    fn crc_valid_snapshot_with_zero_start_stride_is_corrupt() {
+        // Used to loop forever collecting the membership audit's refs,
+        // until the allocation failed and aborted the process.
+        assert_config_patch_rejected(START_STRIDE_AT, 1u64.to_le_bytes(), &[0u64.to_le_bytes()]);
+    }
+
+    #[test]
+    fn crc_valid_snapshot_with_non_finite_or_non_positive_st_is_corrupt() {
+        // Used to load and serve.
+        let st = OnexConfig::default().st;
+        assert_config_patch_rejected(
+            0,
+            st.to_le_bytes(),
+            &[f64::NAN, f64::INFINITY, -1.0, 0.0].map(f64::to_le_bytes),
+        );
+    }
+
+    #[test]
+    fn explorer_load_refuses_a_zero_stride_snapshot() {
+        let mut bytes = encode_with_epoch(&base(), 1).to_vec();
+        let at = 4 + 1 + 8 + START_STRIDE_AT;
+        bytes[at..at + 8].copy_from_slice(&0u64.to_le_bytes());
+        reseal(&mut bytes);
+        let dir = std::env::temp_dir().join(format!("onex_zero_stride_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("base.onex");
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = Explorer::load(&path);
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(
+            matches!(loaded, Err(OnexError::SnapshotCorrupt(ref m)) if m.starts_with("config: ")),
+            "{:?}",
+            loaded.map(|_| ())
+        );
     }
 }

@@ -35,7 +35,7 @@
 //! [`OnexError::SnapshotCorrupt`]. Everything recovered must then pass
 //! [`OnexBase::validate_invariants`] before it is served.
 
-use crate::snapshot::crc32;
+use crate::crc::crc32;
 use crate::{maintain, refine, IoError, OnexBase, OnexError, Result};
 use onex_ts::TimeSeries;
 use std::fs::{File, OpenOptions};
