@@ -734,13 +734,19 @@ mod tests {
         let fewer_series = Dataset::new("fewer-series", series[..series.len() - 1].to_vec());
         let duplicated = [&refs[..], &refs[..1]].concat();
         let dropped = refs[..refs.len() - 1].to_vec();
+        let dup_for_another = {
+            let mut r = refs.clone();
+            r[1] = r[0];
+            r
+        };
         let off_stride = {
             let mut r = refs.clone();
             r[1].start += 1;
             r
         };
-        let cases: [(&str, &Dataset, &[onex_ts::SubseqRef]); 5] = [
+        let cases: [(&str, &Dataset, &[onex_ts::SubseqRef]); 6] = [
             ("duplicated member", &d, &duplicated),
+            ("duplicate for another", &d, &dup_for_another),
             ("dropped member", &d, &dropped),
             ("start off the stride", &d, &off_stride),
             ("ref past its series' end", &short_first, &refs),
