@@ -1246,9 +1246,7 @@ mod tests {
         let len_at = 4 + 1 + 8 + prefix.len() + 8;
         let huge = (1u64 << 62) + 2; // `as u32` == 2, a real indexed length
         bytes[len_at..len_at + 8].copy_from_slice(&huge.to_le_bytes());
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bytes);
         assert!(matches!(
             decode_with_epoch(&bytes),
             Err(OnexError::SnapshotCorrupt(_))
@@ -1274,9 +1272,7 @@ mod tests {
     /// corruption sailed past both the checksum and the structural parse
     /// and was caught by `OnexBase::validate_invariants` alone.
     fn assert_rejected_by_validator(mut bytes: Vec<u8>) {
-        let body_end = bytes.len() - 4;
-        let crc = crc32(&bytes[..body_end]);
-        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        reseal(&mut bytes);
         match decode_with_epoch(&bytes) {
             Err(OnexError::SnapshotCorrupt(msg)) => {
                 assert!(
