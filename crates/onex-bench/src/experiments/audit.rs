@@ -5,8 +5,8 @@
 //!
 //! 1. a fresh build must pass [`OnexBase::validate_invariants`] — slab
 //!    strides, member resolution, bit-exact representative / ED / envelope
-//!    / sketch recomputes, GTI and SP-Space reconciliation, and the
-//!    membership partition against the decomposition;
+//!    / sketch recomputes, the group-id directory, and the membership
+//!    partition against the decomposition;
 //! 2. a snapshot round trip must decode *and* re-validate (every decode
 //!    path runs the validator after the CRC);
 //! 3. a maintenance cycle (append → refine → remove) must leave every

@@ -289,7 +289,7 @@ fn worker_panic(ctx: &Ctx, _dir: &Path) -> Result<(), String> {
     let widest = e
         .base()
         .indexed_lengths()
-        .filter_map(|len| e.base().length_index(len).map(|ix| ix.group_count()))
+        .filter_map(|len| e.base().slab(len).map(|s| s.group_count()))
         .max()
         .unwrap_or(0);
     if widest < 16 {

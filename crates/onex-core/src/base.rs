@@ -1,9 +1,10 @@
 //! The **ONEX base**: the compact knowledge base produced by the offline
-//! step (§4) — the columnar group store, the per-length GTI entries, and
-//! the SP-Space — plus the normalized dataset they index.
+//! step (§4) — the columnar group store, the symbolic index and the
+//! SP-Space, computed on first read — plus the normalized dataset they
+//! index.
 
 use crate::build::{def8_violation, strict_limit, Assigner};
-use crate::index::{LengthIndex, Reuse};
+use crate::index::critical_thresholds;
 use crate::maintain::Predecessor;
 use crate::store::{GroupStore, LengthSlab, StoreFootprint};
 use crate::symindex::SymIndex;
@@ -12,6 +13,7 @@ use onex_ts::normalize::{min_max, MinMaxParams};
 use onex_ts::Dataset;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 /// Summary statistics of a base — the quantities of the paper's Table 4 and
 /// Figs. 5–6, plus the columnar-store accounting.
@@ -23,11 +25,12 @@ pub struct BaseStats {
     pub subsequences: usize,
     /// Number of distinct lengths indexed.
     pub lengths: usize,
-    /// GTI footprint in bytes (group-id vectors, `Dc` matrices, sum arrays,
-    /// thresholds).
+    /// GTI footprint in bytes: the store's flat directory from group id to
+    /// length and slab position. §4.3's `Dc` matrices are not stored; see
+    /// [`crate::index`].
     pub gti_bytes: usize,
-    /// LSI footprint in bytes (member lists, representative/envelope/sum
-    /// slabs).
+    /// LSI footprint in bytes: the per-length slabs (member lists,
+    /// representative/envelope/sum/sketch/word planes) and the slab table.
     pub lsi_bytes: usize,
     /// Bytes held in the contiguous per-length f64 slabs (representatives,
     /// envelope planes, running sums) — the cache-resident scan surface.
@@ -65,11 +68,6 @@ impl BaseStats {
             self.subsequences as f64 / self.representatives as f64
         }
     }
-}
-
-/// Slabs for [`OnexBase::assemble`] with no predecessor base to reuse from.
-pub(crate) fn without_reuse(slabs: Vec<LengthSlab>) -> Vec<(LengthSlab, Option<Reuse<'static>>)> {
-    slabs.into_iter().map(|slab| (slab, None)).collect()
 }
 
 /// The membership partition at one length: the slab's member refs are
@@ -126,6 +124,19 @@ fn check_partition(dataset: &Dataset, start_stride: usize, slab: &LengthSlab) ->
     Ok(())
 }
 
+/// The SP-Space of a base, filled on first read. Equality ignores it: it
+/// is a pure function of the slabs and `st`, so two bases that compare
+/// equal otherwise hold the same SP-Space whether or not either has
+/// computed it.
+#[derive(Debug, Clone, Default)]
+struct SpMemo(OnceLock<SpSpace>);
+
+impl PartialEq for SpMemo {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// The ONEX base: normalized dataset + columnar group store + indexes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct OnexBase {
@@ -133,9 +144,8 @@ pub struct OnexBase {
     norm: Option<MinMaxParams>,
     config: OnexConfig,
     store: GroupStore,
-    lengths: BTreeMap<usize, LengthIndex>,
     sym: BTreeMap<usize, SymIndex>,
-    sp: SpSpace,
+    sp: SpMemo,
 }
 
 impl OnexBase {
@@ -157,47 +167,32 @@ impl OnexBase {
     pub fn build_prenormalized(dataset: Dataset, config: OnexConfig) -> Result<Self> {
         config.validate()?;
         let slabs = crate::build::build_base(&dataset, &config);
-        Ok(Self::assemble(dataset, None, config, without_reuse(slabs)))
+        Ok(Self::assemble(dataset, None, config, slabs))
     }
 
     /// Assembles a base from per-length slabs (shared by construction,
-    /// refinement, snapshot decoding and maintenance), each with what its
-    /// GTI entry may reuse from a predecessor base (see
-    /// [`LengthIndex::build_reusing`]). Empty slabs are dropped; group ids
-    /// are assigned contiguously in ascending-length, local order.
+    /// refinement, snapshot decoding and maintenance). Empty slabs are
+    /// dropped; group ids are assigned contiguously in ascending-length,
+    /// local order.
     pub(crate) fn assemble(
         dataset: Dataset,
         norm: Option<MinMaxParams>,
         config: OnexConfig,
-        mut slabs: Vec<(LengthSlab, Option<Reuse<'_>>)>,
+        slabs: Vec<LengthSlab>,
     ) -> Self {
-        slabs.retain(|(slab, _)| !slab.is_empty());
-        slabs.sort_by_key(|(slab, _)| slab.subseq_len());
-        let (slabs, reuse): (Vec<LengthSlab>, Vec<Option<Reuse<'_>>>) = slabs.into_iter().unzip();
         let store = GroupStore::from_slabs(slabs);
-        let mut lengths = BTreeMap::new();
-        let mut sym = BTreeMap::new();
-        let mut local = BTreeMap::new();
-        let mut first_id: GroupId = 0;
-        for (slab, reuse) in store.slabs().iter().zip(reuse) {
-            let len = slab.subseq_len();
-            let ids: Vec<GroupId> = (0..slab.group_count())
-                .map(|i| first_id + i as GroupId)
-                .collect();
-            first_id += slab.group_count() as GroupId;
-            let idx = LengthIndex::build_reusing(len, ids, slab, config.st, reuse);
-            local.insert(len, (idx.st_half, idx.st_final));
-            lengths.insert(len, idx);
-            sym.insert(len, SymIndex::build(slab));
-        }
+        let sym = store
+            .slabs()
+            .iter()
+            .map(|slab| (slab.subseq_len(), SymIndex::build(slab)))
+            .collect();
         OnexBase {
             dataset,
             norm,
             config,
             store,
-            lengths,
             sym,
-            sp: SpSpace::new(local),
+            sp: SpMemo::default(),
         }
     }
 
@@ -235,10 +230,11 @@ impl OnexBase {
     }
 
     /// The group slab for one subsequence length — the contiguous scan
-    /// surface the query hot loops walk.
+    /// surface the query hot loops walk. [`GroupStore::slab_for_len`] also
+    /// gives the id of its first group.
     #[inline]
     pub fn slab(&self, len: usize) -> Option<&LengthSlab> {
-        self.store.slab_for_len(len)
+        self.store.slab_for_len(len).map(|(_, slab)| slab)
     }
 
     /// Views of all groups, in [`GroupId`] order.
@@ -252,12 +248,6 @@ impl OnexBase {
         self.store.group(id)
     }
 
-    /// The GTI entry for a length.
-    #[inline]
-    pub fn length_index(&self, len: usize) -> Option<&LengthIndex> {
-        self.lengths.get(&len)
-    }
-
     /// The symbolic word index for a length — the coarse-to-fine SAX
     /// hierarchy over that slab's sketch planes.
     #[inline]
@@ -267,34 +257,36 @@ impl OnexBase {
 
     /// All indexed lengths, ascending.
     pub fn indexed_lengths(&self) -> impl Iterator<Item = usize> + '_ {
-        self.lengths.keys().copied()
+        self.store.slabs().iter().map(LengthSlab::subseq_len)
     }
 
     /// Indexed lengths in the §5.3 any-length search order for a query of
     /// `qlen` samples: the query length (when indexed) first, then
     /// decreasing to the smallest, then increasing above the query length.
-    /// Walks the length index directly — no allocation on the query path.
+    /// Walks the slab table directly — no allocation on the query path.
     pub fn lengths_query_order(&self, qlen: usize) -> impl Iterator<Item = usize> + '_ {
-        use std::ops::Bound;
-        self.lengths
-            .range(..=qlen)
+        let slabs = self.store.slabs();
+        let split = slabs.partition_point(|slab| slab.subseq_len() <= qlen);
+        slabs[..split]
+            .iter()
             .rev()
-            .chain(
-                self.lengths
-                    .range((Bound::Excluded(qlen), Bound::Unbounded)),
-            )
-            .map(|(&len, _)| len)
+            .chain(&slabs[split..])
+            .map(LengthSlab::subseq_len)
     }
 
-    /// All GTI entries, ascending by length.
-    pub fn length_indexes(&self) -> impl Iterator<Item = &LengthIndex> {
-        self.lengths.values()
-    }
-
-    /// The Similarity Parameter Space (§4.2).
-    #[inline]
+    /// The Similarity Parameter Space (§4.2), computed on the first call
+    /// (one merge cascade per length, see [`crate::index`]) and kept for
+    /// the base's lifetime.
     pub fn sp_space(&self) -> &SpSpace {
-        &self.sp
+        self.sp.0.get_or_init(|| {
+            SpSpace::new(
+                self.store
+                    .slabs()
+                    .iter()
+                    .map(|slab| (slab.subseq_len(), critical_thresholds(slab, self.config.st)))
+                    .collect(),
+            )
+        })
     }
 
     /// Validates that the base is non-empty, returning [`OnexError::EmptyBase`]
@@ -321,19 +313,15 @@ impl OnexBase {
     ///   recomputes of representatives, member EDs, envelopes and every PAA
     ///   sketch plane (see [`LengthSlab::validate`] for the catalog);
     /// * the store directory is the contiguous ascending-length walk;
-    /// * the GTI map covers exactly the slab lengths, each entry rebuilt
-    ///   and compared bit-exactly (`Dc`, sum order, critical thresholds);
     /// * the symbolic index map covers exactly the slab lengths, each
     ///   [`SymIndex`] rebuilt from its slab's word planes and compared
     ///   bit-exactly (word spec, sorted order, prefix hierarchy, bucket
     ///   envelopes), and each slab's word plane recomputed word-by-word
     ///   from the sketch planes (see [`LengthSlab::validate`]);
-    /// * group ids ascend contiguously across lengths in slab order;
     /// * every group of an assembled base is finalized;
     /// * in [`BuildMode::Strict`], Def. 8: every member of a multi-member
     ///   group lies within the raw limit `√L · ST/2` of its representative;
     /// * each slab's sketch width is `clamp(config.paa_width, 1, len)`;
-    /// * the SP-Space's per-length and global thresholds equal the GTI's;
     /// * **membership partition**: the member references at each length are
     ///   exactly the dataset's decomposed subsequences of that length — no
     ///   subsequence lost, duplicated, or invented.
@@ -373,19 +361,12 @@ impl OnexBase {
             .iter()
             .map(LengthSlab::subseq_len)
             .collect();
-        let idx_lens: Vec<usize> = self.lengths.keys().copied().collect();
-        if slab_lens != idx_lens {
-            return Err(viol(format!(
-                "GTI lengths {idx_lens:?} disagree with slab lengths {slab_lens:?}"
-            )));
-        }
         let sym_lens: Vec<usize> = self.sym.keys().copied().collect();
         if slab_lens != sym_lens {
             return Err(viol(format!(
                 "symbolic-index lengths {sym_lens:?} disagree with slab lengths {slab_lens:?}"
             )));
         }
-        let mut first_id: GroupId = 0;
         for slab in self.store.slabs() {
             let len = slab.subseq_len();
             let want_w = self.config.paa_width.clamp(1, len.max(1));
@@ -402,15 +383,6 @@ impl OnexBase {
                     self.config.sax_alphabet
                 )));
             }
-            let idx = &self.lengths[&len];
-            for (k, &id) in idx.group_ids.iter().enumerate() {
-                if id != first_id + k as GroupId {
-                    return Err(viol(format!(
-                        "length {len}: group id {id} at position {k} breaks the contiguous walk"
-                    )));
-                }
-            }
-            first_id += slab.group_count() as GroupId;
             for local in 0..slab.group_count() {
                 if !slab.is_finalized(local) {
                     return Err(viol(format!(
@@ -418,19 +390,7 @@ impl OnexBase {
                     )));
                 }
             }
-            idx.validate(slab, self.config.st)?;
             self.sym[&len].validate(slab)?;
-            match self.sp.local(len) {
-                Some((h, f))
-                    if h.to_bits() == idx.st_half.to_bits()
-                        && f.to_bits() == idx.st_final.to_bits() => {}
-                other => {
-                    return Err(viol(format!(
-                        "length {len}: SP-Space holds {other:?} but the GTI says ({}, {})",
-                        idx.st_half, idx.st_final
-                    )))
-                }
-            }
             check_partition(&self.dataset, self.config.decomposition.start_stride, slab)?;
         }
         let covered: usize = self
@@ -445,25 +405,6 @@ impl OnexBase {
                 "store covers {covered} subsequences but the decomposition yields {expected}"
             )));
         }
-        let half = self
-            .lengths
-            .values()
-            .map(|i| i.st_half)
-            .fold(0.0f64, f64::max);
-        let fin = self
-            .lengths
-            .values()
-            .map(|i| i.st_final)
-            .fold(0.0f64, f64::max);
-        if self.sp.global_half().to_bits() != half.to_bits()
-            || self.sp.global_final().to_bits() != fin.to_bits()
-        {
-            return Err(viol(format!(
-                "global SP-Space ({}, {}) disagrees with per-length maxima ({half}, {fin})",
-                self.sp.global_half(),
-                self.sp.global_final()
-            )));
-        }
         Ok(())
     }
 
@@ -471,13 +412,12 @@ impl OnexBase {
     /// accounting).
     pub fn stats(&self) -> BaseStats {
         let fp = self.store.footprint();
-        let gti_bytes = self.lengths.values().map(LengthIndex::size_bytes).sum();
         BaseStats {
             representatives: self.store.group_count(),
             subsequences: fp.per_length.iter().map(|l| l.members).sum(),
-            lengths: self.lengths.len(),
-            gti_bytes,
-            lsi_bytes: fp.total_bytes(),
+            lengths: fp.per_length.len(),
+            gti_bytes: fp.directory_bytes,
+            lsi_bytes: fp.total_bytes() - fp.directory_bytes,
             slab_bytes: fp.slab_bytes(),
             sketch_bytes: fp.sketch_bytes(),
             symindex_bytes: fp.word_bytes()
@@ -487,31 +427,24 @@ impl OnexBase {
     }
 
     /// The predecessor maintenance builds a successor from, leaving this
-    /// (live, shared) base intact: copies of the dataset and the slabs, the
-    /// GTI borrowed.
-    pub(crate) fn to_predecessor(&self) -> Predecessor<'_> {
+    /// (live, shared) base intact: copies of the dataset and the slabs.
+    pub(crate) fn to_predecessor(&self) -> Predecessor {
         Predecessor {
             dataset: self.dataset.clone(),
             norm: self.norm,
             config: self.config,
             slabs: self.store.slabs().to_vec(),
-            gti: self.lengths.iter().map(|(&len, idx)| (len, idx)).collect(),
         }
     }
 
     /// The predecessor maintenance builds a successor from, consuming this
-    /// base (journal replay): nothing is copied, and the GTI is freed up
-    /// front, so the successor's is computed from scratch. Building it next
-    /// to the old one instead costs more peak memory than the copied rows
-    /// save time: peak RSS rose from 533 to 571–574 MB (about 7 %) on the
-    /// benchmark's sparse-twopat workload (68 k subsequences, 22 k groups).
-    pub(crate) fn into_predecessor(self) -> Predecessor<'static> {
+    /// base (journal replay): nothing is copied.
+    pub(crate) fn into_predecessor(self) -> Predecessor {
         Predecessor {
             dataset: self.dataset,
             norm: self.norm,
             config: self.config,
             slabs: self.store.into_slabs(),
-            gti: BTreeMap::new(),
         }
     }
 
@@ -541,13 +474,13 @@ impl OnexBase {
             .into_iter()
             .map(|slab| {
                 if broken(&slab) {
-                    Assigner::with_slab(st, slab).finish(&dataset, &config).0
+                    Assigner::with_slab(st, slab).finish(&dataset, &config)
                 } else {
                     slab
                 }
             })
             .collect();
-        Self::assemble(dataset, norm, config, without_reuse(slabs))
+        Self::assemble(dataset, norm, config, slabs)
     }
 
     /// Detailed per-length memory accounting of the columnar store: slab
@@ -618,32 +551,53 @@ mod tests {
             assert!(entry.envelope_slab_bytes >= 2 * entry.groups * len * 8);
         }
         assert_eq!(fp.groups(), base.stats().representatives);
-        assert_eq!(fp.total_bytes(), base.stats().lsi_bytes);
+        assert_eq!(fp.total_bytes(), base.stats().total_bytes());
     }
 
     #[test]
     fn group_ids_are_consistent_with_length_indexes() {
         let base = small_base();
-        for idx in base.length_indexes() {
-            for &id in &idx.group_ids {
-                assert_eq!(base.group(id).len_of_members(), idx.len);
+        let mut next: GroupId = 0;
+        for len in base.indexed_lengths() {
+            let (first, slab) = base.store().slab_for_len(len).unwrap();
+            assert_eq!(first, next, "ids ascend contiguously across lengths");
+            next += slab.group_count() as GroupId;
+            for id in first..next {
+                assert_eq!(base.group(id).len_of_members(), len);
             }
         }
+        assert_eq!(next as usize, base.stats().representatives);
     }
 
     #[test]
     fn slab_lookup_matches_length_index() {
         let base = small_base();
-        for idx in base.length_indexes() {
-            let slab = base.slab(idx.len).expect("indexed length has a slab");
-            assert_eq!(slab.group_count(), idx.group_count());
-            assert_eq!(slab.subseq_len(), idx.len);
+        for len in base.indexed_lengths() {
+            let (first, slab) = base.store().slab_for_len(len).unwrap();
+            assert_eq!(base.slab(len), Some(slab));
+            assert_eq!(slab.subseq_len(), len);
             // id-addressed view and slab rows agree
-            for (local, &gid) in idx.group_ids.iter().enumerate() {
+            for local in 0..slab.group_count() {
+                let gid = first + local as GroupId;
                 assert_eq!(base.group(gid).representative(), slab.rep_row(local));
             }
         }
         assert!(base.slab(999).is_none());
+    }
+
+    /// Reading the SP-Space fills a memo that equality does not see: a
+    /// base that answered a recommendation equals its untouched clone, and
+    /// both hold the thresholds a fresh computation gives.
+    #[test]
+    fn sp_memo_is_invisible_to_equality() {
+        let base = small_base();
+        let untouched = base.clone();
+        crate::query::recommend_impl(&base, None, None).unwrap();
+        assert!(base.sp.0.get().is_some() && untouched.sp.0.get().is_none());
+        assert!(base == untouched);
+        assert_eq!(base.sp_space(), untouched.sp_space());
+        let filled = base.clone();
+        assert_eq!(filled.sp_space(), small_base().sp_space());
     }
 
     #[test]
@@ -665,23 +619,15 @@ mod tests {
             norm,
             config,
             store,
-            lengths,
             ..
         } = base;
-        let sp = SpSpace::new(
-            lengths
-                .iter()
-                .map(|(&len, idx)| (len, (idx.st_half, idx.st_final)))
-                .collect(),
-        );
         let broken = OnexBase {
             dataset: Dataset::new("truncated", series),
             norm,
             config,
             store,
-            lengths,
             sym: BTreeMap::new(),
-            sp,
+            sp: SpMemo::default(),
         };
         let err = broken.validate_invariants().unwrap_err();
         assert!(matches!(err, OnexError::InvariantViolation(_)), "{err}");
@@ -689,8 +635,8 @@ mod tests {
     }
 
     /// One length-`len` slab holding a singleton group per ref (values read
-    /// from `built_on`), assembled over `dataset`. Store, GTI and symbolic
-    /// index are consistent with the slab, so only the refs can be wrong.
+    /// from `built_on`), assembled over `dataset`. Store and symbolic index
+    /// are consistent with the slab, so only the refs can be wrong.
     fn singleton_base(
         dataset: &Dataset,
         built_on: &Dataset,
@@ -703,7 +649,7 @@ mod tests {
             let local = slab.seed(r, built_on.subseq(r).unwrap());
             slab.finalize(local, built_on, 1);
         }
-        OnexBase::assemble(dataset.clone(), None, config, without_reuse(vec![slab]))
+        OnexBase::assemble(dataset.clone(), None, config, vec![slab])
     }
 
     #[test]

@@ -145,17 +145,10 @@ impl Assigner {
 
     /// Closes the length — shared by construction, append and removal: the
     /// Strict repair (in [`BuildMode::Strict`]), then finalization of every
-    /// changed group. Returns the slab and, per group, whether it changed;
-    /// an unchanged group's representative is bit-identical to the one the
-    /// slab held when handed in, which is what lets
-    /// [`crate::index::LengthIndex`] reuse its `Dc` row. (An unchanged group
-    /// is already finalized over the same sums and members, and
-    /// [`LengthSlab::finalize`] would reproduce it bit for bit.)
-    pub(crate) fn finish(
-        mut self,
-        dataset: &Dataset,
-        config: &OnexConfig,
-    ) -> (LengthSlab, Vec<bool>) {
+    /// changed group. An unchanged group is already finalized over the same
+    /// sums and members, and [`LengthSlab::finalize`] would reproduce it bit
+    /// for bit.
+    pub(crate) fn finish(mut self, dataset: &Dataset, config: &OnexConfig) -> LengthSlab {
         if config.build_mode == BuildMode::Strict {
             self.enforce_invariant(dataset);
         }
@@ -165,7 +158,7 @@ impl Assigner {
                 self.slab.finalize(local, dataset, radius);
             }
         }
-        (self.slab, self.changed)
+        self.slab
     }
 
     /// Assigns one subsequence: joins the closest qualifying group or seeds
@@ -384,7 +377,7 @@ pub fn build_length_groups(dataset: &Dataset, len: usize, config: &OnexConfig) -
     if let crate::ClusterStrategy::KMeansRefined { iters } = config.cluster {
         lloyd_refine(dataset, len, config, &refs, &mut asg, iters);
     }
-    asg.finish(dataset, config).0
+    asg.finish(dataset, config)
 }
 
 /// Lloyd refinement over the greedy groups (tech-report's alternative
@@ -523,7 +516,7 @@ mod tests {
                 }
             }
             let cfg = config(st);
-            let (repaired, _) = Assigner::with_slab(st, slab.clone()).finish(&d, &cfg);
+            let repaired = Assigner::with_slab(st, slab.clone()).finish(&d, &cfg);
             let reference = Assigner::with_slab(st, slab).finish_every_group(&d, &cfg);
             prop_assert!(repaired == reference, "from scratch");
 
@@ -533,9 +526,8 @@ mod tests {
                 touched.assign(&d, r(i));
                 every.assign(&d, r(i));
             }
-            let (extended, changed) = touched.finish(&d, &cfg);
+            let extended = touched.finish(&d, &cfg);
             prop_assert!(extended == every.finish_every_group(&d, &cfg), "extending");
-            prop_assert_eq!(changed.len(), extended.group_count());
         }
     }
 

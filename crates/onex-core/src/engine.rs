@@ -700,9 +700,8 @@ impl Explorer {
     ///
     /// The cost follows the touched-set rule: only the groups the new
     /// subsequences join or seed (plus, in [`crate::BuildMode::Strict`],
-    /// those the repair evicts from or re-inserts into) are re-finalized,
-    /// and only their rows of each length's `Dc` matrix are recomputed;
-    /// every other group and row is copied from the live base.
+    /// those the repair evicts from or re-inserts into) are re-finalized;
+    /// every other group is copied from the live base.
     pub fn append_series(&self, series: TimeSeries) -> Result<usize> {
         let _writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let (current, epoch) = self.pin_parts();
@@ -726,9 +725,8 @@ impl Explorer {
     /// attached the op is journaled before the swap.
     ///
     /// The cost follows the touched-set rule: only the groups that shrank
-    /// are re-finalized (and Strict-repaired), and only their rows of each
-    /// length's `Dc` matrix are recomputed; untouched groups and their rows
-    /// are copied from the live base.
+    /// are re-finalized (and Strict-repaired); untouched groups are copied
+    /// from the live base.
     pub fn remove_series(&self, index: usize) -> Result<TimeSeries> {
         let _writer = self.writer.lock().unwrap_or_else(|p| p.into_inner());
         let (current, epoch) = self.pin_parts();
@@ -1081,7 +1079,7 @@ impl PinnedExplorer {
     /// hierarchy.
     pub fn navigate(&self, len: usize, path: &[usize]) -> Option<NavView> {
         let sym = self.base.sym_index(len)?;
-        let idx = self.base.length_index(len)?;
+        let (first, _) = self.base.store().slab_for_len(len)?;
         let mut node = sym.root();
         for &i in path {
             node = sym.child(&node, i)?;
@@ -1089,7 +1087,7 @@ impl PinnedExplorer {
         let groups = sym
             .node_groups(&node)
             .iter()
-            .map(|&local| idx.group_ids[local as usize])
+            .map(|&local| first + local)
             .collect();
         Some(NavView { node, groups })
     }
@@ -1610,7 +1608,7 @@ mod tests {
         let q = e.base().dataset().series()[0].values()[2..14].to_vec();
         let base = e.base();
         let subseqs = base.dataset().subseq_count(&base.config().decomposition);
-        let groups = base.length_indexes().map(|ix| ix.group_count()).max();
+        let groups = base.store().slabs().iter().map(|s| s.group_count()).max();
         let top = |n| QueryOptions {
             explore_top_groups: Some(n),
             ..QueryOptions::default()
@@ -2000,7 +1998,7 @@ mod tests {
         let e = explorer();
         let len = 12;
         let root = e.navigate(len, &[]).unwrap();
-        let total = e.base().length_index(len).unwrap().group_count();
+        let total = e.base().slab(len).unwrap().group_count();
         assert_eq!(root.node.level, 0);
         assert_eq!(root.groups.len(), total);
         // Children partition the parent's groups; drilling one level

@@ -13,10 +13,10 @@
 //!   **similarity groups** per length under the normalized-ED invariant
 //!   `ED̄(member, representative) ≤ ST/2` (Def. 8). The representative is the
 //!   point-wise mean of the group (Def. 7).
-//! * [`index::LengthIndex`] — the paper's GTI entry for one length: group
-//!   ids, the pairwise Inter-Representative Distance matrix `Dc` (Def. 10),
-//!   the sum-ordered representative list driving the median-sum search
-//!   optimization (§5.3), and the per-length critical thresholds.
+//! * [`index`] — the per-length critical thresholds, from a merge cascade
+//!   over the Inter-Representative Distances `Dc` (Def. 10), computed on
+//!   demand. The paper's GTI (§4.3) stores `Dc` per length; here a length's
+//!   groups are its slab, found through the store's directory.
 //! * [`store::GroupStore`] / [`store::LengthSlab`] — the paper's LSI made
 //!   **columnar**: per length, all representatives packed row-major in one
 //!   contiguous slab (stride = length), envelope lo/hi planes and running

@@ -10,13 +10,11 @@
 //! Both cost what they change — the **touched-set rule**. Only groups whose
 //! membership changed (joined, seeded, shrunk, evicted from or re-inserted
 //! into) are Strict-repaired and re-finalized; every other group keeps its
-//! representative bit for bit, so its `Dc` row is copied from the
-//! predecessor's GTI entry and only changed rows are computed (see
-//! `LengthIndex::build_reusing`). A live base is read by reference: only
-//! its dataset and slabs are copied. The successor is bit-identical to
-//! re-checking and re-finalizing every group of every touched length and
-//! rebuilding every GTI entry from scratch, which the differential tests
-//! below keep as their reference.
+//! representative bit for bit. A live base is read by reference: only its
+//! dataset and slabs are copied. The successor is bit-identical to
+//! re-checking and re-finalizing every group of every touched length, which
+//! the differential tests below keep as their reference. It starts with an
+//! empty SP-Space memo, so a predecessor's thresholds never carry over.
 //!
 //! The public surface is [`crate::engine::Explorer::append_series`] /
 //! [`crate::engine::Explorer::remove_series`], which run these constructions
@@ -29,7 +27,6 @@
 //! invalidate every stored distance) and is documented behaviour.
 
 use crate::build::Assigner;
-use crate::index::{LengthIndex, Reuse};
 use crate::store::LengthSlab;
 use crate::{OnexBase, OnexConfig, Result};
 use onex_ts::normalize::MinMaxParams;
@@ -37,18 +34,15 @@ use onex_ts::{Dataset, SubseqRef, TimeSeries};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What maintenance builds a successor from: the predecessor's dataset and
-/// slabs, owned because they are mutated into the successor's, and the GTI
-/// entries whose `Dc` rows the successor may copy.
-/// [`OnexBase::to_predecessor`] copies the dataset and slabs of a base that
-/// stays live and borrows its GTI; [`OnexBase::into_predecessor`] consumes
-/// a base, copies nothing and offers no GTI.
-pub(crate) struct Predecessor<'a> {
+/// slabs, owned because they are mutated into the successor's.
+/// [`OnexBase::to_predecessor`] copies them from a base that stays live;
+/// [`OnexBase::into_predecessor`] consumes a base and copies nothing.
+pub(crate) struct Predecessor {
     pub(crate) dataset: Dataset,
     pub(crate) norm: Option<MinMaxParams>,
     pub(crate) config: OnexConfig,
     /// Ascending by length.
     pub(crate) slabs: Vec<LengthSlab>,
-    pub(crate) gti: BTreeMap<usize, &'a LengthIndex>,
 }
 
 /// Appends a series (raw units if the base was built from raw data) and
@@ -60,7 +54,7 @@ pub(crate) struct Predecessor<'a> {
 /// repopulates it: each length starts from an empty assigner, so the base
 /// is never locked into the empty state.
 pub(crate) fn append_series_impl(
-    prev: Predecessor<'_>,
+    prev: Predecessor,
     series: TimeSeries,
 ) -> Result<(OnexBase, usize)> {
     let Predecessor {
@@ -68,7 +62,6 @@ pub(crate) fn append_series_impl(
         norm,
         config,
         slabs,
-        mut gti,
     } = prev;
     let series = project(norm.as_ref(), series)?;
     let new_index = dataset.push(series);
@@ -76,7 +69,7 @@ pub(crate) fn append_series_impl(
     // Assign the new series' subsequences length by length. Lengths the base
     // has never seen (the new series may be longer than any existing one)
     // start from an empty slab; lengths the series is too short for pass
-    // through with their GTI entry.
+    // through unchanged.
     let new_len = dataset.get(new_index)?.len();
     let touched: BTreeSet<usize> = config.decomposition.lengths_for(new_len).collect();
     let mut existing: BTreeMap<usize, LengthSlab> =
@@ -89,13 +82,9 @@ pub(crate) fn append_series_impl(
 
     let mut out = Vec::with_capacity(all_lengths.len());
     for len in all_lengths {
-        let prev = gti.remove(&len);
         let slab = existing.remove(&len);
         if !touched.contains(&len) {
-            if let Some(slab) = slab {
-                let unchanged = vec![false; slab.group_count()];
-                out.push((slab, reuse_in_place(prev, &unchanged)));
-            }
+            out.extend(slab);
             continue;
         }
         let mut asg = match slab {
@@ -108,8 +97,7 @@ pub(crate) fn append_series_impl(
                 SubseqRef::new(new_index as u32, start as u32, len as u32),
             );
         }
-        let (slab, changed) = asg.finish(&dataset, &config);
-        out.push((slab, reuse_in_place(prev, &changed)));
+        out.push(asg.finish(&dataset, &config));
     }
     Ok((OnexBase::assemble(dataset, norm, config, out), new_index))
 }
@@ -126,20 +114,6 @@ fn project(norm: Option<&MinMaxParams>, series: TimeSeries) -> Result<TimeSeries
     })
 }
 
-/// The GTI reuse of a slab whose groups kept their positions, appended
-/// groups included: group `i` takes row `i` of `prev`'s `Dc` unless
-/// `changed[i]`.
-fn reuse_in_place<'a>(prev: Option<&'a LengthIndex>, changed: &[bool]) -> Option<Reuse<'a>> {
-    prev.map(|prev| Reuse {
-        prev,
-        from: changed
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (!c).then_some(i as u32))
-            .collect(),
-    })
-}
-
 /// Removes the series at `index` and returns the updated base together with
 /// the removed series: the inverse of [`append_series_impl`]. The series'
 /// subsequences are dropped from their groups (running sum rows corrected),
@@ -149,15 +123,15 @@ fn reuse_in_place<'a>(prev: Option<&'a LengthIndex>, changed: &[bool]) -> Option
 /// their old order, and moves its shrunk groups to the end. Only the shrunk
 /// groups are re-finalized (and, in [`crate::BuildMode::Strict`],
 /// re-repaired — members evicted during the repair re-insert among the
-/// shrunk groups of that length); untouched groups pass through finalized
-/// with their `Dc` rows, and lengths that only the removed series reached
-/// disappear from the index entirely.
+/// shrunk groups of that length); untouched groups pass through finalized,
+/// and lengths that only the removed series reached disappear from the
+/// index entirely.
 ///
 /// Removing the last series yields an empty base: structurally valid, and
 /// repopulatable via [`append_series_impl`], but every query against it
 /// reports [`crate::OnexError::EmptyBase`].
 pub(crate) fn remove_series_impl(
-    prev: Predecessor<'_>,
+    prev: Predecessor,
     index: usize,
 ) -> Result<(OnexBase, TimeSeries)> {
     let Predecessor {
@@ -165,7 +139,6 @@ pub(crate) fn remove_series_impl(
         norm,
         config,
         slabs,
-        mut gti,
     } = prev;
     // Validate before touching any group state.
     dataset.get(index)?;
@@ -173,8 +146,8 @@ pub(crate) fn remove_series_impl(
 
     // Drop the series' members while the dataset still resolves them,
     // retiring groups that emptied and splitting each length into
-    // untouched groups (still finalized, with their old positions) and
-    // shrunk ones.
+    // untouched groups (still finalized, in their old order) and shrunk
+    // ones.
     let mut per_length = Vec::with_capacity(slabs.len());
     for mut slab in slabs {
         let len = slab.subseq_len();
@@ -182,7 +155,6 @@ pub(crate) fn remove_series_impl(
             LengthSlab::new(len, config.paa_width, config.sax_alphabet),
             LengthSlab::new(len, config.paa_width, config.sax_alphabet),
         );
-        let mut from = Vec::new();
         for local in 0..slab.group_count() {
             let dropped = slab.drop_series_members(local, &dataset, series);
             if slab.member_count(local) == 0 {
@@ -192,16 +164,15 @@ pub(crate) fn remove_series_impl(
                 slab.move_group_into(local, &mut shrunk);
             } else {
                 slab.move_group_into(local, &mut untouched);
-                from.push(Some(local as u32));
             }
         }
-        per_length.push((untouched, shrunk, gti.remove(&len), from));
+        per_length.push((untouched, shrunk));
     }
 
     let removed = dataset.remove(index)?;
 
     let mut out = Vec::with_capacity(per_length.len());
-    for (mut slab, mut shrunk, prev, mut from) in per_length {
+    for (mut slab, mut shrunk) in per_length {
         // Remap surviving references past the removed slot. The remap is
         // monotone, so finalized (untouched) groups stay correctly ordered.
         slab.remap_series_down(series);
@@ -210,25 +181,21 @@ pub(crate) fn remove_series_impl(
             // Shrunk groups: means moved, so re-repair (Strict) and
             // re-finalize through the append path's `finish` — every one
             // of them counts as changed.
-            let (shrunk, _) = Assigner::with_slab(config.st, shrunk).finish(&dataset, &config);
-            from.resize(from.len() + shrunk.group_count(), None);
-            slab.extend_from(shrunk);
+            slab.extend_from(Assigner::with_slab(config.st, shrunk).finish(&dataset, &config));
         }
         // An emptied length (the removed series was the only one this
         // long) is dropped by `assemble`.
-        out.push((slab, prev.map(|prev| Reuse { prev, from })));
+        out.push(slab);
     }
     Ok((OnexBase::assemble(dataset, norm, config, out), removed))
 }
 
 /// The whole-base append and remove the touched-set paths replaced, kept as
 /// the reference of the differential tests: every group of every touched
-/// length is Strict-checked on every repair round and re-finalized, and
-/// every GTI entry is rebuilt from scratch.
+/// length is Strict-checked on every repair round and re-finalized.
 #[cfg(test)]
 mod whole_base {
     use super::*;
-    use crate::base::without_reuse;
 
     pub(super) fn append(base: &OnexBase, series: TimeSeries) -> Result<(OnexBase, usize)> {
         let config = *base.config();
@@ -260,7 +227,7 @@ mod whole_base {
             slabs.push(asg.finish_every_group(&dataset, &config));
         }
         let norm = base.normalizer().copied();
-        let next = OnexBase::assemble(dataset, norm, config, without_reuse(slabs));
+        let next = OnexBase::assemble(dataset, norm, config, slabs);
         Ok((next, new_index))
     }
 
@@ -303,7 +270,7 @@ mod whole_base {
             slabs.push(slab);
         }
         let norm = base.normalizer().copied();
-        let next = OnexBase::assemble(dataset, norm, config, without_reuse(slabs));
+        let next = OnexBase::assemble(dataset, norm, config, slabs);
         Ok((next, removed))
     }
 }
@@ -317,10 +284,34 @@ mod tests {
     use proptest::prelude::*;
     use proptest::TestCaseError;
 
+    /// The bits of a base's global and per-length SP-Space thresholds.
+    fn sp_bits(base: &OnexBase) -> Vec<(usize, u64, u64)> {
+        let sp = base.sp_space();
+        let pair = |(h, f): (f64, f64)| (h.to_bits(), f.to_bits());
+        let global = pair((sp.global_half(), sp.global_final()));
+        let mut bits = vec![(0, global.0, global.1)];
+        for len in base.indexed_lengths() {
+            let (h, f) = pair(sp.local(len).unwrap());
+            bits.push((len, h, f));
+        }
+        bits
+    }
+
     /// One maintenance op, run through the touched-set path — from a
     /// borrowed and from a consumed predecessor — and the whole-base
-    /// reference: the successors must be equal and valid.
-    fn step(base: &OnexBase, op: &Op) -> std::result::Result<OnexBase, TestCaseError> {
+    /// reference: the successors must be equal and valid. With `read_sp`
+    /// the predecessor's and the successors' SP-Space memos are filled
+    /// before the comparison and the reference's is not; either way every
+    /// successor's thresholds equal the reference's bit for bit, so no
+    /// memo leaks into equality or across the op.
+    fn step(
+        base: &OnexBase,
+        op: &Op,
+        read_sp: bool,
+    ) -> std::result::Result<OnexBase, TestCaseError> {
+        if read_sp {
+            base.sp_space();
+        }
         let (next, consumed, reference) = match op {
             Op::Append(series) => {
                 let (next, i) = append_series_impl(base.to_predecessor(), series.clone()).unwrap();
@@ -339,11 +330,17 @@ mod tests {
                 (next, consumed, reference)
             }
         };
+        if read_sp {
+            next.sp_space();
+            consumed.sp_space();
+        }
         prop_assert!(next == reference, "{op:?}: touched-set successor differs");
         prop_assert!(
             consumed == reference,
             "{op:?}: consumed-predecessor successor differs"
         );
+        prop_assert_eq!(sp_bits(&next), sp_bits(&reference));
+        prop_assert_eq!(sp_bits(&consumed), sp_bits(&reference));
         if let Err(e) = next.validate_invariants() {
             prop_assert!(false, "{op:?}: {e}");
         }
@@ -377,7 +374,8 @@ mod tests {
         /// Random append/remove sequences — appended series up to twice as
         /// long as any stored one, both build modes — then removal down to
         /// an empty base and an append into it: after every op the
-        /// touched-set successor equals the whole-base reference.
+        /// touched-set successor equals the whole-base reference, SP-Space
+        /// included, whether or not the predecessor's was read.
         #[test]
         fn touched_set_maintenance_matches_whole_base(
             (n, len, seed) in (2..5usize, 6..12usize, any::<u64>()),
@@ -402,12 +400,12 @@ mod tests {
                     live if append || live == 0 => Op::Append(walk(new_len, series_seed)),
                     live => Op::Remove(pick % live),
                 };
-                base = step(&base, &op)?;
+                base = step(&base, &op, series_seed % 2 == 1)?;
             }
             while !base.dataset().is_empty() {
-                base = step(&base, &Op::Remove(base.dataset().len() - 1))?;
+                base = step(&base, &Op::Remove(base.dataset().len() - 1), seed % 2 == 1)?;
             }
-            step(&base, &Op::Append(walk(len, seed)))?;
+            step(&base, &Op::Append(walk(len, seed)), seed % 3 == 0)?;
         }
     }
 
@@ -446,7 +444,7 @@ mod tests {
         let long = TimeSeries::new((0..12).map(|i| i as f64 * 0.1).collect()).unwrap();
         let (base, _) = append_series_impl(base.to_predecessor(), long).unwrap();
         assert_eq!(base.indexed_lengths().max().unwrap(), 12);
-        base.length_index(12).expect("new length indexed");
+        base.slab(12).expect("new length indexed");
     }
 
     #[test]
@@ -504,7 +502,7 @@ mod tests {
         assert_eq!(base.indexed_lengths().max().unwrap(), 12);
         let (base, _) = remove_series_impl(base.to_predecessor(), idx).unwrap();
         assert_eq!(base.indexed_lengths().max().unwrap(), 8);
-        assert!(base.length_index(12).is_none());
+        assert!(base.slab(12).is_none());
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //!
 //! * `similarity` — Class I: best-match, top-k and range retrieval for a
 //!   sample sequence, exact-length or any-length (Algorithm 2.A), with the
-//!   §5.3 optimizations: length-ordered search, median-sum representative
-//!   ordering, the cascaded lower bounds, early-abandoning DTW, and the
-//!   ED-ordered intra-group walk. It counts its work into
+//!   §5.3 optimizations: length-ordered search, the cascaded lower bounds,
+//!   early-abandoning DTW, and the ED-ordered intra-group walk. It counts its work into
 //!   [`crate::QueryStats`].
 //! * `par` — the intra-query striping those scans fan out over.
 //! * `seasonal` — Class II: recurring-similarity queries (Algorithm 2.B).

@@ -23,7 +23,7 @@ pub(crate) fn recommend_impl(
 ) -> Result<Vec<ThresholdRange>> {
     base.ensure_nonempty()?;
     if let Some(l) = len {
-        if base.length_index(l).is_none() {
+        if base.slab(l).is_none() {
             return Err(crate::OnexError::NoGroupsForLength(l));
         }
     }

@@ -41,12 +41,13 @@ pub(crate) fn seasonal_for_series_impl(
     if series >= base.dataset().len() {
         return Err(OnexError::UnknownSeries(series));
     }
-    let idx = base
-        .length_index(len)
+    let (first, slab) = base
+        .store()
+        .slab_for_len(len)
         .ok_or(OnexError::NoGroupsForLength(len))?;
     let min_recurrence = min_recurrence.max(1);
     let mut out = Vec::new();
-    for &gid in &idx.group_ids {
+    for gid in first..first + slab.group_count() as GroupId {
         let members: Vec<SubseqRef> = base
             .group(gid)
             .members()
@@ -73,12 +74,13 @@ pub(crate) fn seasonal_all_impl(
     min_members: usize,
 ) -> Result<Vec<SeasonalResult>> {
     base.ensure_nonempty()?;
-    let idx = base
-        .length_index(len)
+    let (first, slab) = base
+        .store()
+        .slab_for_len(len)
         .ok_or(OnexError::NoGroupsForLength(len))?;
     let min_members = min_members.max(1);
     let mut out = Vec::new();
-    for &gid in &idx.group_ids {
+    for gid in first..first + slab.group_count() as GroupId {
         let group = base.group(gid);
         if group.member_count() >= min_members {
             out.push(SeasonalResult {

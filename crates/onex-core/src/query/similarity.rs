@@ -5,7 +5,7 @@
 //! The three-step process of §5.2: (1) GTI lookup of the candidate lengths,
 //! (2) best-matching-representative search over each length's groups (DTW
 //! against representatives only, with LB pruning and early abandoning, in
-//! median-sum order), (3) best-match search *inside* the selected group,
+//! slab order), (3) best-match search *inside* the selected group,
 //! walking the ED-sorted member list outward from the predicted position.
 //!
 //! The search core is a set of free functions over [`SearchParams`] (what
@@ -54,7 +54,6 @@ use super::validate_query;
 /// conservative — accumulated rounding is ~n·ε ≈ 1e-13 — while giving up
 /// only boundary-noise prunes.
 const PAA_TIER0_MARGIN: f64 = 1e-9;
-use crate::index::LengthIndex;
 use crate::store::LengthSlab;
 use crate::symindex::SymIndex;
 use crate::{GroupId, OnexBase, OnexConfig, OnexError, QueryStats, Result};
@@ -604,16 +603,15 @@ pub(crate) fn top_k(
     // ranking is identical to the unpruned scan's.
     let mut topk_keys: Vec<f64> = Vec::new();
     for len in length_schedule(base, q.len(), mode) {
-        let Some(idx) = base.length_index(len) else {
+        let Some((first, slab)) = base.store().slab_for_len(len) else {
             if matches!(mode, MatchMode::Exact(_)) {
                 return Err(OnexError::NoGroupsForLength(len));
             }
             continue;
         };
-        let slab = base.slab(len).ok_or(OnexError::NoGroupsForLength(len))?;
         ctx.stats.lengths_visited += 1;
         let sym = base.sym_index(len);
-        let choices = best_reps(q, idx, slab, sym, p.explore_top_groups.max(1), p, ctx);
+        let choices = best_reps(q, first, slab, sym, p.explore_top_groups.max(1), p, ctx);
         let scale = 2.0 * q.len().max(len) as f64;
         let qualified = choices.iter().any(|c| c.raw / scale <= p.st / 2.0);
         let units: usize = choices.iter().map(|c| slab.members(c.local).len()).sum();
@@ -746,16 +744,15 @@ pub(crate) fn within_threshold(
     ctx.begin();
     let st = p.st;
     if let MatchMode::Exact(len) = mode {
-        if base.length_index(len).is_none() {
+        if base.slab(len).is_none() {
             return Err(OnexError::NoGroupsForLength(len));
         }
     }
     let mut out = Vec::new();
     'lengths: for len in length_schedule(base, q.len(), mode) {
-        let Some(idx) = base.length_index(len) else {
+        let Some((first, slab)) = base.store().slab_for_len(len) else {
             continue;
         };
-        let slab = base.slab(len).ok_or(OnexError::NoGroupsForLength(len))?;
         ctx.stats.lengths_visited += 1;
         let norm = 2.0 * q.len().max(len) as f64;
         // Reps beyond 1.5·ST can contain no qualifying member even
@@ -779,15 +776,16 @@ pub(crate) fn within_threshold(
         // running best to share), so the striped path is not just
         // result-identical but *counter*-identical to the sequential one:
         // each group's evaluation sees exactly the same cutoffs either way.
-        let workers = plan_workers(p.query_threads, p.budgeted(), idx.group_count());
+        let workers = plan_workers(p.query_threads, p.budgeted(), slab.group_count());
         if workers > 1
             && range_scan_striped(
-                base, q, slab, idx, verify, st, norm, scan_limit, masked, &mut out, p, ctx, workers,
+                base, q, slab, first, verify, st, norm, scan_limit, masked, &mut out, p, ctx,
+                workers,
             )
         {
             continue;
         }
-        for local in idx.median_out_order() {
+        for local in 0..slab.group_count() {
             if ctx.out_of_budget(p) {
                 break 'lengths;
             }
@@ -800,7 +798,7 @@ pub(crate) fn within_threshold(
                 charge_index_skip(&mut ctx.stats);
                 continue;
             }
-            let gid = idx.group_ids[local];
+            let gid = first + local as GroupId;
             ctx.stats.groups_visited += 1;
             let Some(raw) = cascade_eval(
                 q,
@@ -885,7 +883,7 @@ fn range_scan_striped(
     base: &OnexBase,
     q: &[f64],
     slab: &LengthSlab,
-    idx: &LengthIndex,
+    first: GroupId,
     verify: bool,
     st: f64,
     norm: f64,
@@ -896,8 +894,6 @@ fn range_scan_striped(
     ctx: &mut SearchCtx,
     workers: usize,
 ) -> bool {
-    let order: Vec<usize> = idx.median_out_order().collect();
-    let order = order.as_slice();
     // The mask was filled in the caller's context; lend it to the workers
     // read-only and put it back afterwards (it is per-length scratch).
     let skip = std::mem::take(&mut ctx.skip);
@@ -905,7 +901,7 @@ fn range_scan_striped(
     let results = fan_stripes(workers, |w| {
         let mut wctx = SearchCtx::default();
         let mut local_out: Vec<Match> = Vec::new();
-        for &local in order.iter().skip(w).step_by(workers) {
+        for local in (w..slab.group_count()).step_by(workers) {
             if masked && skip_ref[local] {
                 // sound: identical to the sequential scan — the mask was
                 // certified at exactly this scan's fixed cutoff, so tier 0
@@ -915,7 +911,7 @@ fn range_scan_striped(
                 charge_index_skip(&mut wctx.stats);
                 continue;
             }
-            let gid = idx.group_ids[local];
+            let gid = first + local as GroupId;
             wctx.stats.groups_visited += 1;
             let Some(raw) = cascade_eval(
                 q,
@@ -997,13 +993,13 @@ fn best_match_at_length(
     p: &SearchParams,
     ctx: &mut SearchCtx,
 ) -> Result<Match> {
-    let idx = base
-        .length_index(len)
+    let (first, slab) = base
+        .store()
+        .slab_for_len(len)
         .ok_or(OnexError::NoGroupsForLength(len))?;
-    let slab = base.slab(len).ok_or(OnexError::NoGroupsForLength(len))?;
     ctx.stats.lengths_visited += 1;
     let top = p.explore_top_groups.max(1);
-    let choices = best_reps(q, idx, slab, base.sym_index(len), top, p, ctx);
+    let choices = best_reps(q, first, slab, base.sym_index(len), top, p, ctx);
     let mut best: Option<Match> = None;
     let mut cutoff = cutoff_raw.unwrap_or(f64::INFINITY);
     for c in &choices {
@@ -1121,22 +1117,23 @@ fn best_match_any(
 }
 
 /// Best `top` representatives of a length by raw DTW to the query, in
-/// median-sum order, each run through the full [`cascade_eval`] pipeline
+/// slab order, each run through the full [`cascade_eval`] pipeline
 /// against the running `top`-th-best cutoff. The representative vectors
 /// and envelope planes are read straight off the length's columnar slab —
 /// contiguous rows, no per-group pointer chase.
 fn best_reps(
     q: &[f64],
-    idx: &LengthIndex,
+    first: GroupId,
     slab: &LengthSlab,
     sym: Option<&SymIndex>,
     top: usize,
     p: &SearchParams,
     ctx: &mut SearchCtx,
 ) -> Vec<RepChoice> {
-    let workers = plan_workers(p.query_threads, p.budgeted(), idx.group_count());
+    let g = slab.group_count();
+    let workers = plan_workers(p.query_threads, p.budgeted(), g);
     if workers > 1 {
-        if let Some(kept) = best_reps_striped(q, idx, slab, sym, top, p, ctx, workers) {
+        if let Some(kept) = best_reps_striped(q, first, slab, sym, top, p, ctx, workers) {
             return kept;
         }
         // A worker panicked: fall through to the sequential scan below,
@@ -1144,11 +1141,11 @@ fn best_reps(
     }
     // At most `top + 1` choices, and never more than there are groups: an
     // oversized `top` means "all".
-    let mut kept: Vec<RepChoice> = Vec::with_capacity(top.min(idx.group_count()) + 1);
+    let mut kept: Vec<RepChoice> = Vec::with_capacity(top.min(g) + 1);
     let mut cutoff = f64::INFINITY;
     let sym = symindex_applicable(sym, q, slab, p);
     let mut masked = false;
-    for local in idx.median_out_order() {
+    for local in 0..g {
         if ctx.out_of_budget(p) {
             break;
         }
@@ -1174,7 +1171,7 @@ fn best_reps(
             charge_index_skip(&mut ctx.stats);
             continue;
         }
-        let gid = idx.group_ids[local];
+        let gid = first + local as GroupId;
         let rep = slab.rep_row(local);
         ctx.stats.groups_visited += 1;
         let Some(raw) = cascade_eval(
@@ -1213,16 +1210,16 @@ fn best_reps(
 }
 
 /// The striped-parallel twin of [`best_reps`]: worker `w` of `W` scans
-/// median-sum-order positions `w, w+W, …` with its own [`SearchCtx`],
+/// local positions `w, w+W, …` with its own [`SearchCtx`],
 /// keeping its local `top` best and publishing its `top`-th-best raw DTW
 /// to a [`SharedCutoff`] so every worker prunes against (an upper bound
 /// on) the global `top`-th best. The final choices are the canonical
-/// `top` smallest by `(raw, median-sum rank)` over all survivors —
+/// `top` smallest by `(raw, local position)` over all survivors —
 /// exactly the set and order the sequential scan's stable
 /// insert-sort-truncate loop produces, because (a) the shared cutoff is
 /// always ≥ the final `top`-th-best raw, so no true finalist is ever
 /// pruned, (b) survivors carry exact DTW values, and (c) the sequential
-/// loop's arrival order *is* the median-sum rank. Each worker engages the
+/// loop's arrival order *is* the local position. Each worker engages the
 /// symbolic index independently at its first finite cutoff (the mask
 /// stays sound for any tighter cutoff, as in the sequential scan);
 /// per-worker counters are merged by [`QueryStats::absorb`].
@@ -1233,7 +1230,7 @@ fn best_reps(
 #[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn best_reps_striped(
     q: &[f64],
-    idx: &LengthIndex,
+    first: GroupId,
     slab: &LengthSlab,
     sym: Option<&SymIndex>,
     top: usize,
@@ -1241,18 +1238,16 @@ fn best_reps_striped(
     ctx: &mut SearchCtx,
     workers: usize,
 ) -> Option<Vec<RepChoice>> {
-    let order: Vec<usize> = idx.median_out_order().collect();
-    let order = order.as_slice();
+    let g = slab.group_count();
     let sym = symindex_applicable(sym, q, slab, p);
     let shared = SharedCutoff::new(f64::INFINITY);
     let shared = &shared;
     let results = fan_stripes(workers, |w| {
         let mut wctx = SearchCtx::default();
-        // Local finalists as (raw, global median-sum rank, choice).
-        let mut kept: Vec<(f64, usize, RepChoice)> = Vec::with_capacity(top.min(order.len()) + 1);
+        // Local finalists as (raw, local position, choice).
+        let mut kept: Vec<(f64, usize, RepChoice)> = Vec::with_capacity(top.min(g) + 1);
         let mut masked = false;
-        for rank in (w..order.len()).step_by(workers) {
-            let local = order[rank];
+        for local in (w..g).step_by(workers) {
             let cutoff = shared.get();
             if !masked && cutoff.is_finite() {
                 if let Some(sym) = sym {
@@ -1270,7 +1265,7 @@ fn best_reps_striped(
                 charge_index_skip(&mut wctx.stats);
                 continue;
             }
-            let gid = idx.group_ids[local];
+            let gid = first + local as GroupId;
             wctx.stats.groups_visited += 1;
             let Some(raw) = cascade_eval(
                 q,
@@ -1287,7 +1282,7 @@ fn best_reps_striped(
             };
             kept.push((
                 raw,
-                rank,
+                local,
                 RepChoice {
                     group: gid,
                     local,

@@ -19,8 +19,8 @@
 //! Both directions mutate the per-length [`LengthSlab`]s in place (splits
 //! rebuild a fresh slab per source group; merges combine sum rows and
 //! member lists, then compact). The result is a fresh [`OnexBase`] whose
-//! `config.st` is `ST'` and whose indexes (Dc, sum order, SP-Space) are
-//! rebuilt over the refined slabs.
+//! `config.st` is `ST'`; its SP-Space is computed over the refined slabs on
+//! first read.
 
 use crate::build::Assigner;
 use crate::store::LengthSlab;
@@ -66,9 +66,7 @@ pub(crate) fn refine_impl(base: &OnexBase, st_prime: f64) -> Result<OnexBase> {
                 // merge touched keep their finalization, and Def. 8 at
                 // `ST < ST'`, so they pass through.
                 let merged = merge_groups(slab, st, st_prime, &mut rng);
-                Assigner::reopen(st_prime, merged)
-                    .finish(&dataset, &new_config)
-                    .0
+                Assigner::reopen(st_prime, merged).finish(&dataset, &new_config)
             }
         })
         .collect();
@@ -76,7 +74,7 @@ pub(crate) fn refine_impl(base: &OnexBase, st_prime: f64) -> Result<OnexBase> {
         dataset,
         base.normalizer().copied(),
         new_config,
-        crate::base::without_reuse(out),
+        out,
     ))
 }
 
@@ -95,7 +93,7 @@ fn split_groups(
         for &(r, _) in slab.members(local) {
             asg.assign(dataset, r);
         }
-        out.extend_from(asg.finish(dataset, config).0);
+        out.extend_from(asg.finish(dataset, config));
     }
     out
 }
@@ -206,7 +204,7 @@ mod tests {
         // one length still has > 1 group unless everything was truly close.
         // (sine_mix has two well-separated classes, so expect > 1 group at
         // moderate lengths.)
-        let any_multi = r.length_indexes().any(|idx| idx.group_count() > 1);
+        let any_multi = r.store().slabs().iter().any(|s| s.group_count() > 1);
         assert!(
             any_multi,
             "distinct classes should not all merge at ST'=0.6"
@@ -237,7 +235,7 @@ mod tests {
             base.dataset().clone(),
             base.normalizer().copied(),
             config,
-            crate::base::without_reuse(slabs),
+            slabs,
         )
     }
 
@@ -288,8 +286,7 @@ mod tests {
                     let merged = merge_groups(slab.clone(), 0.1, st_prime, &mut rng);
                     let every = Assigner::with_slab(st_prime, merged.clone())
                         .finish_every_group(b.dataset(), &new_cfg);
-                    let (touched, _) =
-                        Assigner::reopen(st_prime, merged).finish(b.dataset(), &new_cfg);
+                    let touched = Assigner::reopen(st_prime, merged).finish(b.dataset(), &new_cfg);
                     assert_eq!(
                         touched,
                         every,

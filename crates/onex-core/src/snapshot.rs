@@ -5,11 +5,10 @@
 //!
 //! The format is hand-rolled over the `bytes` crate (no external
 //! serialization format in the sanctioned dependency set): little-endian,
-//! length-prefixed, with a magic header and version byte. Group indexes
-//! (`Dc`, sum order, SP-Space) and envelopes are *not* stored — they are
-//! deterministic functions of the groups and are rebuilt on load, which
-//! keeps snapshots small (the paper's Table 4 sizes count exactly these
-//! reconstructible structures).
+//! length-prefixed, with a magic header and version byte. Envelopes and
+//! the group-id directory are *not* stored — they are deterministic
+//! functions of the groups and are rebuilt on load — and neither is the
+//! SP-Space, which a loaded base computes on first read.
 //!
 //! Five versions exist on disk:
 //!
@@ -46,8 +45,8 @@
 //!   recomputes every word from the decoded sketches (bit-identical by
 //!   construction) and defaults `sax_alphabet` to 4. The
 //!   [`crate::symindex::SymIndex`] probe structures are *not* stored —
-//!   like `Dc` and the SP-Space they are deterministic functions of the
-//!   word planes and are rebuilt on load.
+//!   they are deterministic functions of the word planes and are rebuilt
+//!   on load.
 //!
 //! Every version's config must pass [`OnexConfig::validate`] as it is
 //! parsed, and every version is audited after decoding against every check of
@@ -59,7 +58,6 @@
 //! The file-level entry points are [`crate::engine::Explorer::save`] /
 //! [`crate::engine::Explorer::load`].
 
-use crate::base::without_reuse;
 use crate::crc::crc32;
 use crate::store::LengthSlab;
 use crate::{IoError, OnexBase, OnexConfig, OnexError, Result};
@@ -357,13 +355,13 @@ fn decode_header(
 /// length its groups one record at a time.
 fn encode_payload_grouped(out: &mut BytesMut, base: &OnexBase) {
     encode_header(out, base, false, false);
-    let indexes: Vec<_> = base.length_indexes().collect();
-    out.put_u64_le(indexes.len() as u64);
-    for idx in indexes {
-        out.put_u64_le(idx.len as u64);
-        out.put_u64_le(idx.group_ids.len() as u64);
-        for &gid in &idx.group_ids {
-            let g = base.group(gid);
+    let slabs = base.store().slabs();
+    out.put_u64_le(slabs.len() as u64);
+    let mut groups = base.groups();
+    for slab in slabs {
+        out.put_u64_le(slab.subseq_len() as u64);
+        out.put_u64_le(slab.group_count() as u64);
+        for g in groups.by_ref().take(slab.group_count()) {
             out.put_u64_le(g.member_count() as u64);
             for &(r, d) in g.members() {
                 out.put_u32_le(r.series);
@@ -410,12 +408,7 @@ fn decode_payload_grouped(buf: &mut &[u8]) -> Result<OnexBase> {
             buf.remaining()
         )));
     }
-    Ok(OnexBase::assemble(
-        dataset,
-        norm,
-        config,
-        without_reuse(slabs),
-    ))
+    Ok(OnexBase::assemble(dataset, norm, config, slabs))
 }
 
 /// Decodes `count` member entries (series, start, raw ED), validating each
@@ -696,12 +689,7 @@ fn decode_payload_columnar(buf: &mut &[u8], version: u8) -> Result<OnexBase> {
             buf.remaining()
         )));
     }
-    Ok(OnexBase::assemble(
-        dataset,
-        norm,
-        config,
-        without_reuse(slabs),
-    ))
+    Ok(OnexBase::assemble(dataset, norm, config, slabs))
 }
 
 // ---- component encoders/decoders ----

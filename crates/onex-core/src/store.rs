@@ -1057,12 +1057,16 @@ impl GroupStore {
         &self.slabs
     }
 
-    /// The slab covering subsequence length `len`, when one exists.
-    pub fn slab_for_len(&self, len: usize) -> Option<&LengthSlab> {
-        self.slabs
+    /// The slab covering subsequence length `len`, when one exists, with
+    /// the [`GroupId`] of its first group: its groups hold the ids
+    /// `first..first + group_count`, in local order.
+    pub fn slab_for_len(&self, len: usize) -> Option<(GroupId, &LengthSlab)> {
+        let si = self
+            .slabs
             .binary_search_by_key(&len, LengthSlab::subseq_len)
-            .ok()
-            .map(|i| &self.slabs[i])
+            .ok()?;
+        let first = self.dir.partition_point(|&(s, _)| (s as usize) < si);
+        Some((first as GroupId, &self.slabs[si]))
     }
 
     /// Total groups across every length.
@@ -1629,7 +1633,8 @@ mod tests {
         assert_eq!(store.group(0).len_of_members(), 2);
         assert_eq!(store.group(2).len_of_members(), 4);
         assert_eq!(store.groups().count(), 4);
-        assert!(store.slab_for_len(4).is_some());
+        assert_eq!(store.slab_for_len(2).map(|(first, _)| first), Some(0));
+        assert_eq!(store.slab_for_len(4).map(|(first, _)| first), Some(2));
         assert!(store.slab_for_len(3).is_none());
     }
 

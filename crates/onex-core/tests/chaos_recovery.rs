@@ -287,7 +287,7 @@ fn injected_worker_panic_degrades_to_exact_sequential_results() {
     let widest = e
         .base()
         .indexed_lengths()
-        .filter_map(|len| e.base().length_index(len).map(|ix| ix.group_count()))
+        .filter_map(|len| e.base().slab(len).map(|s| s.group_count()))
         .max()
         .unwrap();
     assert!(widest >= 16, "base too narrow to engage striping: {widest}");

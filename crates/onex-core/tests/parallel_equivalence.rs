@@ -38,7 +38,7 @@ fn wide_explorer() -> &'static Explorer {
         let widest = e
             .base()
             .indexed_lengths()
-            .filter_map(|len| e.base().length_index(len).map(|ix| ix.group_count()))
+            .filter_map(|len| e.base().slab(len).map(|s| s.group_count()))
             .max()
             .unwrap();
         assert!(

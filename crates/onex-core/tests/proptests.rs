@@ -102,8 +102,9 @@ proptest! {
         };
         let base = OnexBase::build_prenormalized(d, cfg).unwrap();
         let q: Vec<f64> = base.dataset().get(0).unwrap().values()[..6].to_vec();
-        for idx in base.length_indexes().take(4) {
-            for &gid in idx.group_ids.iter().take(4) {
+        for len in base.indexed_lengths().take(4) {
+            let (first, slab) = base.store().slab_for_len(len).unwrap();
+            for gid in (first..).take(slab.group_count().min(4)) {
                 let g = base.group(gid);
                 let rep_d = dtw_normalized(&q, g.representative(), onex_dist::Window::Unconstrained);
                 if rep_d <= st / 2.0 {
@@ -314,7 +315,7 @@ proptest! {
         // sequence every plane must still equal a from-scratch recompute,
         // bit for bit — and the *whole* deep invariant catalog
         // (OnexBase::validate_invariants: strides, sums, rep freezes,
-        // ED order, envelopes, GTI/SP reconciliation, membership
+        // ED order, envelopes, the group-id directory, membership
         // partition) must hold after every step.
         let base = OnexBase::build_prenormalized(d, config(0.2, seed)).unwrap();
         assert_sketches_match_recompute(&base);

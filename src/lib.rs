@@ -388,8 +388,8 @@
 //! references resolving in the dataset, running sums against
 //! re-accumulation, and — bit-exactly — frozen representatives
 //! (`rep = sum · (1/n)`), member ED order, envelope planes, every PAA
-//! sketch, the GTI entries (rebuilt and compared), the SP-Space
-//! thresholds, and the membership partition against the decomposition.
+//! sketch, the group-id directory, the symbolic index, and the membership
+//! partition against the decomposition.
 //! It runs automatically after every snapshot decode (a CRC-valid but
 //! logically corrupt file is rejected as
 //! [`OnexError::SnapshotCorrupt`]), after every maintenance hot-swap in
