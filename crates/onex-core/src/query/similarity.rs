@@ -365,6 +365,14 @@ struct RepChoice {
     raw: f64,
 }
 
+impl RepChoice {
+    /// The order of [`best_reps`]' stable sort over slab-order arrivals:
+    /// by raw DTW, ties to the lower local position.
+    fn rank(a: &Self, b: &Self) -> std::cmp::Ordering {
+        a.raw.total_cmp(&b.raw).then(a.local.cmp(&b.local))
+    }
+}
+
 /// Which counters a [`cascade_eval`] charges its work to: all work goes
 /// into `dtw_evals` / `lb_prunes`, member work also into `members_*`.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -1244,8 +1252,7 @@ fn best_reps_striped(
     let shared = &shared;
     let results = fan_stripes(workers, |w| {
         let mut wctx = SearchCtx::default();
-        // Local finalists as (raw, local position, choice).
-        let mut kept: Vec<(f64, usize, RepChoice)> = Vec::with_capacity(top.min(g) + 1);
+        let mut kept: Vec<RepChoice> = Vec::with_capacity(top.min(g) + 1);
         let mut masked = false;
         for local in (w..g).step_by(workers) {
             let cutoff = shared.get();
@@ -1280,16 +1287,12 @@ fn best_reps_striped(
             ) else {
                 continue;
             };
-            kept.push((
-                raw,
+            kept.push(RepChoice {
+                group: gid,
                 local,
-                RepChoice {
-                    group: gid,
-                    local,
-                    raw,
-                },
-            ));
-            kept.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                raw,
+            });
+            kept.sort_by(RepChoice::rank);
             kept.truncate(top);
             if kept.len() == top {
                 // Each worker's local top-th best is an upper bound on the
@@ -1297,7 +1300,7 @@ fn best_reps_striped(
                 // candidates at or below it), so the shared minimum over
                 // workers is too — lowering the cutoff to it never prunes
                 // a true finalist.
-                shared.lower_to(kept[top - 1].0);
+                shared.lower_to(kept[top - 1].raw);
             }
         }
         (kept, wctx, masked)
@@ -1311,7 +1314,7 @@ fn best_reps_striped(
             return None;
         }
     };
-    let mut merged: Vec<(f64, usize, RepChoice)> = Vec::new();
+    let mut merged: Vec<RepChoice> = Vec::new();
     let mut any_masked = false;
     for (kept, wctx, masked) in results {
         merged.extend(kept);
@@ -1321,9 +1324,9 @@ fn best_reps_striped(
     if p.symindex && !any_masked {
         ctx.stats.index_fallbacks += 1;
     }
-    merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    merged.sort_by(RepChoice::rank);
     merged.truncate(top);
-    Some(merged.into_iter().map(|(_, _, c)| c).collect())
+    Some(merged)
 }
 
 /// The striped-parallel member scan of [`top_k`] for one length: the

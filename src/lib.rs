@@ -151,6 +151,25 @@
 //! incrementally through append/remove/refine and verified against a
 //! from-scratch rebuild by the lifecycle tests.
 //!
+//! **A departure from §4.3: the GTI stores no `Dc`.** The paper's Global
+//! Time Index keeps, per length, the dense rep × rep matrix of
+//! Inter-Representative Distances `Dc` (Def. 10), and §5.3 visits a
+//! length's representatives median-out by their `Dc` row sums. This engine
+//! keeps neither. Every representative scan walks the length's slab in
+//! order, and the critical thresholds of the SP-Space (§4.2), the one
+//! remaining reader of `Dc`, are computed on the first
+//! [`OnexBase::sp_space`](core::OnexBase::sp_space) read with each entry
+//! taken on the fly ([`core::index`]). On the benchmark's sparse-twopat
+//! workload (68 k subsequences in 22 k groups) the matrices took 112.5 MB,
+//! 2.2× the whole group store, and a load built them twice. Slab order
+//! gives every answer of the answer golden unchanged and lowered
+//! `dtw_evals` in all 18 best-match and top-k cells of the work golden
+//! that use lower bounds: ItalyPower best-match 168 → 158, ECG best-match
+//! 316 → 264, ECG top-10 1,504 → 1,452, NearDuplicates best-match
+//! 229 → 212. `repro table4` prints the bytes the paper's matrix would
+//! take (Σ g² · 8 over lengths) next to the base's own footprint, so its
+//! MB column still compares with the paper's index sizes.
+//!
 //! ## Snapshot versions
 //!
 //! Snapshots are hand-rolled little-endian binary (module
@@ -340,7 +359,11 @@
 //! cp target/tmp/work_counters.actual crates/onex-bench/tests/work_counters.txt
 //! ```
 //!
-//! and the move is a reviewable text diff.
+//! and the move is a reviewable text diff. **Answers** are the same kind of
+//! contract: its sibling `answers.rs` writes, for the same queries under
+//! default options, every best-match and top-k answer (subsequence, group
+//! and the bits of both distances), each range answer's count and set hash,
+//! and the bits of every SP-Space threshold, into `answers.txt`.
 //!
 //! **Wall-clock** is the repo benchmark's: `BENCHMARK.json` declares the
 //! command, three workloads (a 1.24 M-subsequence base, a 22 k-group
