@@ -124,12 +124,14 @@ fn check_partition(dataset: &Dataset, start_stride: usize, slab: &LengthSlab) ->
     Ok(())
 }
 
-/// The SP-Space of a base, filled on first read. Equality ignores it: it
-/// is a pure function of the slabs and `st`, so two bases that compare
-/// equal otherwise hold the same SP-Space whether or not either has
-/// computed it.
+/// The SP-Space of a base, filled on first read: the whole space, and
+/// each length's `(ST_half, ST_final)` on its own, index-aligned with the
+/// store's slabs, so a one-length recommendation runs one merge cascade.
+/// Equality ignores it: it is a pure function of the slabs and `st`, so
+/// two bases that compare equal otherwise hold the same SP-Space whether
+/// or not either has computed it.
 #[derive(Debug, Clone, Default)]
-struct SpMemo(OnceLock<SpSpace>);
+struct SpMemo(OnceLock<SpSpace>, Vec<OnceLock<(f64, f64)>>);
 
 impl PartialEq for SpMemo {
     fn eq(&self, _: &Self) -> bool {
@@ -186,13 +188,14 @@ impl OnexBase {
             .iter()
             .map(|slab| (slab.subseq_len(), SymIndex::build(slab)))
             .collect();
+        let per_length = store.slabs().iter().map(|_| OnceLock::new()).collect();
         OnexBase {
             dataset,
             norm,
             config,
             store,
             sym,
-            sp: SpMemo::default(),
+            sp: SpMemo(OnceLock::new(), per_length),
         }
     }
 
@@ -280,13 +283,31 @@ impl OnexBase {
     pub fn sp_space(&self) -> &SpSpace {
         self.sp.0.get_or_init(|| {
             SpSpace::new(
-                self.store
-                    .slabs()
-                    .iter()
-                    .map(|slab| (slab.subseq_len(), critical_thresholds(slab, self.config.st)))
+                (0..self.store.slabs().len())
+                    .map(|si| self.thresholds_at(si))
                     .collect(),
             )
         })
+    }
+
+    /// One length's `(ST_half, ST_final)` — [`SpSpace::local`] without
+    /// the other lengths' merge cascades: computed on the first call for
+    /// this length and kept, like the whole space. `None` when the length
+    /// is not indexed.
+    pub fn sp_local(&self, len: usize) -> Option<(f64, f64)> {
+        let si = self
+            .store
+            .slabs()
+            .binary_search_by_key(&len, LengthSlab::subseq_len)
+            .ok()?;
+        Some(self.thresholds_at(si).1)
+    }
+
+    /// The length and memoised critical thresholds of slab `si`.
+    fn thresholds_at(&self, si: usize) -> (usize, (f64, f64)) {
+        let slab = &self.store.slabs()[si];
+        let pair = *self.sp.1[si].get_or_init(|| critical_thresholds(slab, self.config.st));
+        (slab.subseq_len(), pair)
     }
 
     /// Validates that the base is non-empty, returning [`OnexError::EmptyBase`]
@@ -308,11 +329,12 @@ impl OnexBase {
     /// the invariants the query path assumes. It validates, from the bottom
     /// up:
     ///
-    /// * every [`LengthSlab`] via [`crate::store::GroupStore::validate`] —
-    ///   plane strides, member resolution, running sums, and bit-exact
-    ///   recomputes of representatives, member EDs, envelopes and every PAA
-    ///   sketch plane (see [`LengthSlab::validate`] for the catalog);
-    /// * the store directory is the contiguous ascending-length walk;
+    /// * the store's slab table and directory
+    ///   ([`crate::store::GroupStore::validate_table`]);
+    /// * every [`LengthSlab`] — plane strides, member resolution, running
+    ///   sums, and bit-exact recomputes of representatives, member EDs,
+    ///   envelopes and every PAA sketch plane (see [`LengthSlab::validate`]
+    ///   for the catalog);
     /// * the symbolic index map covers exactly the slab lengths, each
     ///   [`SymIndex`] rebuilt from its slab's word planes and compared
     ///   bit-exactly (word spec, sorted order, prefix hierarchy, bucket
@@ -329,81 +351,93 @@ impl OnexBase {
     /// Callable from tests and the `repro audit` subcommand; snapshot
     /// loading runs every check but Def. 8 after the CRC check and then
     /// repairs Def. 8 instead (see [`crate::snapshot`]), and the
-    /// maintenance paths re-run it in debug builds. Cost is roughly a base rebuild — use it
-    /// at trust boundaries, not on the per-query path.
+    /// maintenance paths re-run it in debug builds. Cost is roughly a base
+    /// rebuild, spread over the `config.threads` workers one length per task
+    /// — use it at trust boundaries, not on the per-query path. When several
+    /// lengths fail, the error names the smallest of them, at any worker
+    /// count.
     ///
     /// [`LengthSlab::validate`]: crate::store::LengthSlab::validate
     pub fn validate_invariants(&self) -> Result<()> {
-        self.validate_structure()?;
-        if self.config.build_mode == BuildMode::Strict {
-            for slab in self.store.slabs() {
-                if let Some((local, r, d)) = def8_violation(slab, self.config.st) {
-                    return Err(OnexError::InvariantViolation(format!(
-                        "length {}: group {local} member {r:?} lies at raw ED {d} from its \
-                         representative, beyond the Strict limit {}",
-                        slab.subseq_len(),
-                        strict_limit(slab.subseq_len(), self.config.st)
-                    )));
-                }
-            }
-        }
-        Ok(())
+        self.audit(true)
     }
 
     /// Every check of [`OnexBase::validate_invariants`] except Def. 8 —
     /// what snapshot loading audits before [`OnexBase::close_def8`].
     pub(crate) fn validate_structure(&self) -> Result<()> {
+        self.audit(false)
+    }
+
+    /// The deep audit: the slab table and the symbolic-index map, then one
+    /// task per length on the [`crate::pool`] (`config.threads` workers),
+    /// then the total cover. With `def8`, each length's task ends with the
+    /// Def. 8 check of a Strict base. When several lengths fail, the error
+    /// is the smallest failing length's, at any worker count.
+    fn audit(&self, def8: bool) -> Result<()> {
         let viol = |msg: String| OnexError::InvariantViolation(msg);
-        self.store.validate(&self.dataset)?;
-        let slab_lens: Vec<usize> = self
-            .store
-            .slabs()
-            .iter()
-            .map(LengthSlab::subseq_len)
-            .collect();
+        self.store.validate_table()?;
+        let slabs = self.store.slabs();
+        let slab_lens: Vec<usize> = slabs.iter().map(LengthSlab::subseq_len).collect();
         let sym_lens: Vec<usize> = self.sym.keys().copied().collect();
         if slab_lens != sym_lens {
             return Err(viol(format!(
                 "symbolic-index lengths {sym_lens:?} disagree with slab lengths {slab_lens:?}"
             )));
         }
-        for slab in self.store.slabs() {
-            let len = slab.subseq_len();
-            let want_w = self.config.paa_width.clamp(1, len.max(1));
-            if slab.paa_width() != want_w {
-                return Err(viol(format!(
-                    "slab len {len}: sketch width {} but config resolves to {want_w}",
-                    slab.paa_width()
-                )));
-            }
-            if slab.word_spec().alphabet() != self.config.sax_alphabet {
-                return Err(viol(format!(
-                    "slab len {len}: word alphabet {} but config says {}",
-                    slab.word_spec().alphabet(),
-                    self.config.sax_alphabet
-                )));
-            }
-            for local in 0..slab.group_count() {
-                if !slab.is_finalized(local) {
-                    return Err(viol(format!(
-                        "length {len}: group {local} of an assembled base is not finalized"
-                    )));
-                }
-            }
-            self.sym[&len].validate(slab)?;
-            check_partition(&self.dataset, self.config.decomposition.start_stride, slab)?;
-        }
-        let covered: usize = self
-            .store
-            .slabs()
-            .iter()
-            .map(LengthSlab::total_members)
-            .sum();
         let expected = self.dataset.subseq_count(&self.config.decomposition);
+        let workers = crate::pool::length_workers(self.config.threads, slabs.len(), expected);
+        let verdicts = crate::pool::per_length(
+            slabs.iter().collect(),
+            workers,
+            |slab| self.audit_length(slab, def8),
+            |verdict| verdict,
+        );
+        verdicts.into_iter().collect::<Result<()>>()?;
+        let covered: usize = slabs.iter().map(LengthSlab::total_members).sum();
         if covered != expected {
             return Err(viol(format!(
                 "store covers {covered} subsequences but the decomposition yields {expected}"
             )));
+        }
+        Ok(())
+    }
+
+    /// One length's share of [`OnexBase::audit`].
+    fn audit_length(&self, slab: &LengthSlab, def8: bool) -> Result<()> {
+        let viol = |msg: String| OnexError::InvariantViolation(msg);
+        let len = slab.subseq_len();
+        slab.validate(&self.dataset)?;
+        let want_w = self.config.paa_width.clamp(1, len.max(1));
+        if slab.paa_width() != want_w {
+            return Err(viol(format!(
+                "slab len {len}: sketch width {} but config resolves to {want_w}",
+                slab.paa_width()
+            )));
+        }
+        if slab.word_spec().alphabet() != self.config.sax_alphabet {
+            return Err(viol(format!(
+                "slab len {len}: word alphabet {} but config says {}",
+                slab.word_spec().alphabet(),
+                self.config.sax_alphabet
+            )));
+        }
+        for local in 0..slab.group_count() {
+            if !slab.is_finalized(local) {
+                return Err(viol(format!(
+                    "length {len}: group {local} of an assembled base is not finalized"
+                )));
+            }
+        }
+        self.sym[&len].validate(slab)?;
+        check_partition(&self.dataset, self.config.decomposition.start_stride, slab)?;
+        if def8 && self.config.build_mode == BuildMode::Strict {
+            if let Some((local, r, d)) = def8_violation(slab, self.config.st) {
+                return Err(viol(format!(
+                    "length {len}: group {local} member {r:?} lies at raw ED {d} from its \
+                     representative, beyond the Strict limit {}",
+                    strict_limit(len, self.config.st)
+                )));
+            }
         }
         Ok(())
     }
@@ -598,6 +632,64 @@ mod tests {
         assert_eq!(base.sp_space(), untouched.sp_space());
         let filled = base.clone();
         assert_eq!(filled.sp_space(), small_base().sp_space());
+    }
+
+    /// Construction and the deep audit fan out one length per task, yet
+    /// the base — slabs, snapshot bytes, SP-Space bits and audit verdict —
+    /// is the same at every thread count. With two lengths corrupted, every
+    /// count reports the smaller one, exactly as the sequential audit does.
+    #[test]
+    fn same_base_at_any_thread_count() {
+        let d = synth::sine_mix(8, 24, 3, 11);
+        let at = |threads: usize| {
+            OnexBase::build(
+                &d,
+                OnexConfig {
+                    threads,
+                    ..OnexConfig::default()
+                },
+            )
+            .unwrap()
+        };
+        let sp_bits = |b: &OnexBase| -> Vec<u64> {
+            let sp = b.sp_space();
+            let mut bits = vec![sp.global_half().to_bits(), sp.global_final().to_bits()];
+            for len in b.indexed_lengths() {
+                let (h, f) = sp.local(len).unwrap();
+                bits.extend([h.to_bits(), f.to_bits()]);
+            }
+            bits
+        };
+        // Two lengths broken the same way: a non-finalized extra group
+        // holding a subsequence its length already covers.
+        let corrupted = |b: OnexBase| {
+            let mut slabs = b.store.slabs().to_vec();
+            for slab in slabs
+                .iter_mut()
+                .filter(|s| [17, 9].contains(&s.subseq_len()))
+            {
+                let r = slab.members(0)[0].0;
+                slab.seed(r, b.dataset.subseq_unchecked(r));
+            }
+            OnexBase::assemble(b.dataset, b.norm, b.config, slabs)
+        };
+        let one = at(1);
+        let want_err = corrupted(one.clone()).validate_invariants().unwrap_err();
+        assert!(want_err.to_string().contains("length 9:"), "{want_err}");
+        for threads in [1, 2, 4] {
+            let b = at(threads);
+            assert_eq!(b.config.threads, threads);
+            assert_eq!(b.store.slabs(), one.store.slabs(), "{threads} threads");
+            assert_eq!(
+                crate::snapshot::encode(&b),
+                crate::snapshot::encode(&one),
+                "{threads} threads"
+            );
+            assert_eq!(sp_bits(&b), sp_bits(&one), "{threads} threads");
+            b.validate_invariants().unwrap();
+            let err = corrupted(b).validate_invariants().unwrap_err();
+            assert_eq!(err.to_string(), want_err.to_string(), "{threads} threads");
+        }
     }
 
     #[test]

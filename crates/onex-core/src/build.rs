@@ -11,10 +11,10 @@
 //! loop scans one contiguous block of memory instead of chasing a `Vec`
 //! pointer per candidate group.
 //!
-//! Lengths are independent, so construction optionally fans out across
-//! threads (one length per task, `std::thread` scoped threads); results are
-//! deterministic regardless of thread count because each length's shuffle is
-//! seeded independently.
+//! Lengths are independent, so construction fans out across the
+//! [`crate::pool`] workers, one length per task, on every core of a base
+//! large enough to pay for them; results are identical at any thread count
+//! because each length's shuffle is seeded independently.
 
 use crate::store::LengthSlab;
 use crate::{BuildMode, OnexConfig};
@@ -22,8 +22,6 @@ use onex_dist::{ed_early_abandon_sq, lb_paa_sq, paa_into};
 use onex_ts::{Dataset, SubseqRef};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Maximum Strict-mode eviction/re-insertion rounds before stragglers are
 /// forced into singleton groups.
@@ -436,44 +434,22 @@ fn lloyd_refine(
     }
 }
 
-/// Builds the per-length slabs for every decomposed length, optionally in
-/// parallel. Results are sorted by length and independent of
-/// `config.threads`.
+/// Builds the per-length slabs for every decomposed length, sorted by
+/// length, on the [`crate::pool`] (`config.threads` workers, `0` = one per
+/// [`crate::pool::GRAIN`] subsequences, at most one per core). Each
+/// finished slab is cloned onto the caller's thread, so the base's memory
+/// does not pin the workers' arenas. The slabs are the same at any thread
+/// count.
 pub fn build_base(dataset: &Dataset, config: &OnexConfig) -> Vec<LengthSlab> {
     let lengths = dataset.decomposed_lengths(&config.decomposition);
-    let mut out: Vec<LengthSlab> = if config.threads <= 1 || lengths.len() <= 1 {
-        lengths
-            .iter()
-            .map(|&len| build_length_groups(dataset, len, config))
-            .collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<LengthSlab>> = Mutex::new(Vec::with_capacity(lengths.len()));
-        let workers = config.threads.min(lengths.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // ordering: Relaxed — a pure work-stealing ticket: the
-                    // counter guards no other memory, and thread::scope's
-                    // join synchronizes the results before any read.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&len) = lengths.get(i) else { break };
-                    let built = build_length_groups(dataset, len, config);
-                    // A sibling worker panicking while holding the lock
-                    // poisons it; the Vec itself is still coherent (push
-                    // is the only mutation), so recover rather than
-                    // cascade the panic through every worker.
-                    results
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .push(built);
-                });
-            }
-        });
-        results.into_inner().unwrap_or_else(|p| p.into_inner())
-    };
-    out.sort_by_key(LengthSlab::subseq_len);
-    out
+    let subsequences = dataset.subseq_count(&config.decomposition);
+    let workers = crate::pool::length_workers(config.threads, lengths.len(), subsequences);
+    crate::pool::per_length(
+        lengths,
+        workers,
+        |len| build_length_groups(dataset, len, config),
+        |slab| slab.clone(),
+    )
 }
 
 #[cfg(test)]

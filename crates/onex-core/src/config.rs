@@ -108,8 +108,16 @@ pub struct OnexConfig {
     /// Seed for the construction-time randomization (RANDOMIZE-IN-PLACE and
     /// first-representative selection).
     pub seed: u64,
-    /// Worker threads for construction; lengths are built independently.
-    /// `1` = sequential.
+    /// Worker threads for the per-length passes: construction and the deep
+    /// audit ([`crate::OnexBase::validate_invariants`], which every snapshot
+    /// load runs). `0` (default) resolves automatically: one worker per
+    /// [`crate::pool::GRAIN`] subsequences of the base, at most one per
+    /// core, so a small base stays on the caller's thread. A positive value
+    /// is honoured, clamped to the number of lengths and to four workers per
+    /// core; `1` = sequential. **Result-neutral**: the base, its snapshot
+    /// bytes and its audit verdict are the same at any value.
+    /// Runtime-only: snapshots do not persist this knob, and a loaded base
+    /// gets the default.
     pub threads: usize,
     /// Worker threads for the per-length group/member scans of a *single*
     /// query (the intra-query fan-out in the similarity cascade). `1` runs
@@ -150,7 +158,7 @@ impl Default for OnexConfig {
             paa_width: 16,
             sax_alphabet: 4,
             seed: 0xA11CE,
-            threads: 1,
+            threads: 0,
             query_threads: 0,
             max_inflight: 0,
         }
@@ -250,11 +258,7 @@ fn resolve_query_threads(configured: usize, env_override: Option<usize>) -> usiz
     if configured > 0 {
         return configured;
     }
-    env_override.unwrap_or_else(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
+    env_override.unwrap_or_else(crate::pool::cores)
 }
 
 #[cfg(test)]

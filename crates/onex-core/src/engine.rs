@@ -94,56 +94,6 @@ thread_local! {
     static SCRATCH: RefCell<SearchCtx> = RefCell::new(SearchCtx::default());
 }
 
-/// Work-stealing fan-out over scoped threads: runs `work(i)` for every
-/// `i in 0..n` across up to `threads` workers, returning index-aligned
-/// results. `threads <= 1` runs sequentially on the caller's thread.
-/// Drives [`QueryRequest::Batch`].
-fn fan_out<R, FW>(n: usize, threads: usize, work: FW) -> Vec<R>
-where
-    R: Send,
-    FW: Fn(usize) -> R + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        return (0..n).map(&work).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                loop {
-                    // ordering: Relaxed — a pure work-stealing ticket: the
-                    // counter guards no other memory; result slots are
-                    // synchronized by their own mutexes and scope join.
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = work(i);
-                    // Each slot is written exactly once; a poisoned lock
-                    // (sibling worker panicked mid-store) still holds
-                    // either None or a complete result, so recover.
-                    *slots[i].lock().unwrap_or_else(|p| p.into_inner()) = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(
-            // thread::scope re-raises any worker panic before we get here,
-            // so every index was claimed by fetch_add and filled.
-            #[expect(clippy::expect_used, reason = "infallible, see above")]
-            |slot| {
-                slot.into_inner()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .expect("every slot filled")
-            },
-        )
-        .collect()
-}
-
 /// Per-query knobs shared by every [`QueryRequest`] variant.
 ///
 /// `Default` reproduces the base's build-time behaviour exactly (no
@@ -355,8 +305,9 @@ pub enum QueryRequest {
     Batch {
         /// The requests; the response preserves order.
         requests: Vec<QueryRequest>,
-        /// Worker threads, clamped to the batch size. `0` = auto (the
-        /// machine's available parallelism), `1` = sequential.
+        /// Worker threads on the [`crate::pool`], clamped to the batch size
+        /// and to four per core. `0` = auto (the machine's available
+        /// parallelism), `1` = sequential.
         threads: usize,
     },
 }
@@ -1215,16 +1166,9 @@ fn run_batch(
     mut requests: Vec<QueryRequest>,
     threads: usize,
 ) -> Result<QueryResponse> {
-    let n = requests.len();
-    // `0` = auto: size the pool to the machine (fan_out clamps to `n`).
-    let threads = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|t| t.get())
-            .unwrap_or(1)
-    } else {
-        threads
-    };
-    if threads.min(n) > 1 {
+    let workers =
+        crate::pool::resolve_workers(threads, usize::MAX, requests.len(), crate::pool::cores());
+    if workers > 1 {
         // Concurrent batch: children default to sequential intra-query
         // scans so batch-level parallelism replaces — not multiplies —
         // intra-query parallelism (see the variant docs).
@@ -1232,20 +1176,10 @@ fn run_batch(
             r.pin_sequential_scan();
         }
     }
-    // Requests are handed to workers by index; the Mutex<Option<_>>
-    // wrapper lets each be taken by value exactly once.
-    let requests: Vec<Mutex<Option<QueryRequest>>> =
-        requests.into_iter().map(|r| Mutex::new(Some(r))).collect();
-    let responses: Vec<Result<QueryResponse>> = fan_out(n, threads, |i| {
-        // fetch_add hands each index to exactly one worker.
-        #[expect(clippy::expect_used, reason = "infallible, see above")]
-        let request = requests[i]
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .take()
-            .expect("each request taken once");
-        exec(base, epoch, request)
-    });
+    // A response holds no memory the base keeps, so it stays where it was
+    // allocated.
+    let responses: Vec<Result<QueryResponse>> =
+        crate::pool::per_length(requests, workers, |r| exec(base, epoch, r), |r| r);
     let mut stats = QueryStats {
         epoch,
         ..QueryStats::default()
@@ -1315,8 +1249,9 @@ impl ExplorerBuilder {
         self
     }
 
-    /// Sets the construction worker-thread count (lengths build
-    /// independently; results are identical at any thread count).
+    /// Sets the worker-thread count of the per-length passes, construction
+    /// and the deep audit (see [`OnexConfig::threads`]; default `0` = auto,
+    /// `1` = sequential). The base is identical at any thread count.
     pub fn threads(mut self, threads: usize) -> Self {
         self.config.threads = threads;
         self
@@ -1520,6 +1455,7 @@ mod tests {
             .build(&d)
             .unwrap();
         assert_eq!(built.base().config().st, 0.25);
+        assert_eq!(built.base().config().threads, 2);
         assert!(built.base().normalizer().is_some());
 
         // prenormalized skips min-max
@@ -1537,7 +1473,13 @@ mod tests {
         built.save(&snap).unwrap();
         let reloaded = ExplorerBuilder::new().from_snapshot(&snap).unwrap();
         assert_eq!(reloaded.epoch(), 1, "epoch survives the snapshot");
-        assert_eq!(*reloaded.base(), *built.base());
+        // `threads` is runtime-only: the loaded base takes the default and
+        // is otherwise the saved one.
+        assert_eq!(reloaded.base().config().threads, 0);
+        assert_eq!(
+            snapshot::encode(&reloaded.base()),
+            snapshot::encode(&built.base())
+        );
 
         // CSV (UCR format) ingestion
         let csv = dir.join("builder.csv");

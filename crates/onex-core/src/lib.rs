@@ -97,6 +97,7 @@ pub mod fault;
 pub mod group;
 pub mod index;
 pub mod maintain;
+pub mod pool;
 pub mod query;
 pub mod refine;
 pub mod snapshot;

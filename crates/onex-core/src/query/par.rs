@@ -54,39 +54,34 @@ pub(crate) fn plan_workers(query_threads: usize, budgeted: bool, units: usize) -
     }
 }
 
-/// Runs `run(w)` for each worker `w in 0..workers` on scoped threads and
-/// returns the results **in worker order** — the deterministic merge
-/// order every striped scan relies on.
+/// Runs `run(w)` for each worker `w in 0..workers` on the
+/// [`crate::pool`] and returns the results **in worker order** — the
+/// deterministic merge order every striped scan relies on.
 ///
-/// A panic in any worker is **contained**: every handle is joined (so the
-/// scope never re-raises), the panic payload is dropped, and the call
-/// returns `None` with no partial results. Callers must then discard all
-/// shared scan state and fall back to the sequential twin — re-running
-/// only the dead worker's stripe is unsound, because its surviving
-/// siblings already pushed keys into shared structures and a re-run would
-/// admit them twice. The sequential re-scan reproduces the answer bit for
-/// bit (see the module soundness notes), so a panic costs the fast path,
-/// never correctness — and can never poison the `Explorer`.
+/// A panic in any worker is **contained**: the pool re-raises it on this
+/// thread once every worker has stopped, it is caught here, the payload is
+/// dropped, and the call returns `None` with no partial results. Callers
+/// must then discard all shared scan state and fall back to the sequential
+/// twin — re-running only the dead worker's stripe is unsound, because its
+/// surviving siblings already pushed keys into shared structures and a
+/// re-run would admit them twice. The sequential re-scan reproduces the
+/// answer bit for bit (see the module soundness notes), so a panic costs
+/// the fast path, never correctness — and can never poison the `Explorer`.
 pub(crate) fn fan_stripes<R, F>(workers: usize, run: F) -> Option<Vec<R>>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let run = &run;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    crate::fault::maybe_panic_worker();
-                    run(w)
-                })
-            })
-            .collect();
-        // Join every handle unconditionally before deciding the outcome:
-        // an unjoined panicked handle would re-raise when the scope exits.
-        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
-        joined.into_iter().map(|r| r.ok()).collect()
-    })
+    let stripe = |w: usize| {
+        crate::fault::maybe_panic_worker();
+        run(w)
+    };
+    // Unwind-safe in effect: on a panic every caller discards the shared
+    // scan state the stripes touched (see above).
+    let stripes = std::panic::AssertUnwindSafe(|| {
+        crate::pool::per_length((0..workers).collect(), workers, stripe, |r| r)
+    });
+    std::panic::catch_unwind(stripes).ok()
 }
 
 /// A monotone-decreasing cutoff shared across workers, stored as the bit

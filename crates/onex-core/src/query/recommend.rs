@@ -22,16 +22,28 @@ pub(crate) fn recommend_impl(
     len: Option<usize>,
 ) -> Result<Vec<ThresholdRange>> {
     base.ensure_nonempty()?;
-    if let Some(l) = len {
-        if base.slab(l).is_none() {
-            return Err(crate::OnexError::NoGroupsForLength(l));
+    // One length reads only its own merge cascade; `Any` reads them all.
+    let (half, fin) = match len {
+        Some(l) => base
+            .sp_local(l)
+            .ok_or(crate::OnexError::NoGroupsForLength(l))?,
+        None => {
+            let sp = base.sp_space();
+            (sp.global_half(), sp.global_final())
         }
-    }
-    let sp = base.sp_space();
-    Ok(match degree {
-        Some(d) => vec![sp.range_for(d, len)],
-        None => sp.all_ranges(len).to_vec(),
-    })
+    };
+    let degrees = match degree {
+        Some(d) => vec![d],
+        None => vec![
+            SimilarityDegree::Strict,
+            SimilarityDegree::Medium,
+            SimilarityDegree::Loose,
+        ],
+    };
+    Ok(degrees
+        .into_iter()
+        .map(|d| ThresholdRange::between(d, half, fin))
+        .collect())
 }
 
 #[cfg(test)]

@@ -737,7 +737,10 @@ fn encode_config(out: &mut BytesMut, c: &OnexConfig, with_paa: bool, with_sax: b
     out.put_u64_le(c.explore_top_groups as u64);
     out.put_u8(c.rank_normalized as u8);
     out.put_u64_le(c.seed);
-    out.put_u64_le(c.threads as u64);
+    // `threads` is runtime-only. The v5 slot stays, holding the 1 every
+    // earlier default wrote, so a snapshot does not depend on the
+    // builder's core count.
+    out.put_u64_le(1);
     if with_paa {
         out.put_u64_le(c.paa_width as u64);
     }
@@ -780,7 +783,8 @@ fn decode_config(buf: &mut &[u8], with_paa: bool, with_sax: bool) -> Result<Onex
     let explore_top_groups = get_u64(buf)? as usize;
     let rank_normalized = get_u8(buf)? != 0;
     let seed = get_u64(buf)?;
-    let threads = get_u64(buf)? as usize;
+    // The runtime-only `threads` slot: read past, never applied.
+    get_u64(buf)?;
     // v4 appends the sketch-width knob; older versions predate sketches
     // and load with the default width (their sketches are recomputed).
     let paa_width = if with_paa {
@@ -827,12 +831,12 @@ fn decode_config(buf: &mut &[u8], with_paa: bool, with_sax: bool) -> Result<Onex
         paa_width,
         sax_alphabet,
         seed,
-        threads,
-        // Runtime-only serving knobs, deliberately not persisted: a snapshot
-        // moved across machines should query with the *host's* parallelism
-        // and overload policy, not the builder's, and both knobs are
-        // accuracy-neutral so the loaded base answers byte-identically
-        // either way.
+        // Runtime-only knobs, deliberately not persisted: a snapshot moved
+        // across machines should build, audit and query with the *host's*
+        // parallelism and overload policy, not the builder's, and every
+        // one of them is result-neutral, so the loaded base answers
+        // byte-identically either way.
+        threads: 0,
         query_threads: 0,
         max_inflight: 0,
     };

@@ -95,6 +95,23 @@ impl SpSpace {
                 .unwrap_or((self.global_half, self.global_final)),
             None => (self.global_half, self.global_final),
         };
+        ThresholdRange::between(degree, half, fin)
+    }
+
+    /// All three ranges (a Class III query with `simDegree = NULL`).
+    pub fn all_ranges(&self, len: Option<usize>) -> [ThresholdRange; 3] {
+        [
+            self.range_for(SimilarityDegree::Strict, len),
+            self.range_for(SimilarityDegree::Medium, len),
+            self.range_for(SimilarityDegree::Loose, len),
+        ]
+    }
+}
+
+impl ThresholdRange {
+    /// The range realizing `degree` between the critical thresholds
+    /// `half` (`ST_half`) and `fin` (`ST_final`).
+    pub fn between(degree: SimilarityDegree, half: f64, fin: f64) -> Self {
         match degree {
             SimilarityDegree::Strict => ThresholdRange {
                 degree,
@@ -112,15 +129,6 @@ impl SpSpace {
                 upper: None,
             },
         }
-    }
-
-    /// All three ranges (a Class III query with `simDegree = NULL`).
-    pub fn all_ranges(&self, len: Option<usize>) -> [ThresholdRange; 3] {
-        [
-            self.range_for(SimilarityDegree::Strict, len),
-            self.range_for(SimilarityDegree::Medium, len),
-            self.range_for(SimilarityDegree::Loose, len),
-        ]
     }
 }
 

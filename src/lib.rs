@@ -195,9 +195,16 @@
 //!
 //! ## Threading model
 //!
-//! The engine layers three independent kinds of parallelism over one
+//! The engine layers four independent kinds of parallelism over one
 //! invariant — **results are byte-identical at any thread count**:
 //!
+//! * **Per-length passes.** Construction and the deep audit (which every
+//!   snapshot load runs) take one subsequence length per task on the
+//!   `onex_core::pool` workers ([`OnexConfig::threads`]; `0` = auto, one
+//!   worker per `pool::GRAIN` subsequences and at most one per core, so
+//!   small bases stay sequential). Each built slab is handed back and
+//!   re-allocated on the caller's thread, so the base's memory does not
+//!   stay in the workers' malloc arenas.
 //! * **Serving.** [`Explorer`] is `Send + Sync` and answers from
 //!   `&self`. Each query begins by *pinning* the current generation:
 //!   one brief lock clones the `(Arc<base>, epoch)` pair, after which
@@ -207,7 +214,7 @@
 //!   the slot, so queries in flight simply finish on the generation they
 //!   pinned. Every [`QueryStats`] reports which epoch answered.
 //! * **Batch fan-out.** [`QueryRequest::Batch`] schedules whole queries
-//!   over a bounded work-stealing pool (`threads: 0` sizes it to the
+//!   over the same work-stealing pool (`threads: 0` sizes it to the
 //!   machine) against one pinned epoch. Children of a concurrent batch
 //!   default to sequential intra-query scans — batch parallelism
 //!   *replaces* intra-query parallelism rather than multiplying it — and
