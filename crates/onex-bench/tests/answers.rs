@@ -12,7 +12,10 @@
 //! * SP-Space: the bits of the global `(ST_half, ST_final)` and of every
 //!   length's pair.
 //!
-//! "Same answers" is this test passing; a change that moves an answer on
+//! A second test checks the range class against an oracle rather than a
+//! file: an exhaustive DTW scan of every same-length subsequence.
+//!
+//! "Same answers" is the golden test passing; a change that moves an answer on
 //! purpose re-blesses the file with the `cp` the failure prints, so the
 //! move is a reviewable text diff. The setup and the comparison are shared
 //! with the work golden (`work_counters.rs`); see the `common` module.
@@ -106,4 +109,51 @@ fn render() -> String {
 #[test]
 fn answers_match_the_golden_file() {
     assert_golden("answers", "answers", &render());
+}
+
+/// Verified range against an exhaustive scan: for every query of the
+/// golden mix, `WithinThreshold { verify: true, Exact(len) }` returns
+/// exactly the subsequences of the query's length whose banded DTW to it
+/// is within ST (Def. 6), each with the `f64` bits of that DTW. The scan
+/// is plain `onex_dist::dtw` over the dataset, so it shares no pruning,
+/// certificate or batching with the engine.
+#[test]
+fn verified_range_equals_an_exhaustive_scan() {
+    for w in workloads() {
+        let base = w.explorer.base();
+        let config = base.config();
+        for (i, q) in w.queries.iter().enumerate() {
+            let len = q.values.len();
+            let norm = 2.0 * len as f64;
+            let mut want: Vec<_> = base
+                .dataset()
+                .subseqs_of_len(len, &config.decomposition)
+                .filter_map(|r| {
+                    let raw = onex_dist::dtw(
+                        &q.values,
+                        base.dataset().subseq_unchecked(r),
+                        config.window,
+                    );
+                    (raw / norm <= config.st).then_some((r, raw.to_bits()))
+                })
+                .collect();
+            want.sort_unstable();
+            let resp = w
+                .explorer
+                .query(request("range_verified_exact", q, QueryOptions::default()))
+                .expect("range query answers");
+            let QueryResult::WithinThreshold(ms) = &resp.result else {
+                panic!("range answered {:?}", resp.result);
+            };
+            let mut got: Vec<_> = ms.iter().map(|m| (m.subseq, m.raw_dtw.to_bits())).collect();
+            got.sort_unstable();
+            assert_eq!(got.len(), want.len(), "{} q{i}: match count", w.name);
+            assert!(
+                got == want,
+                "{} q{i}: first difference at {:?}",
+                w.name,
+                got.iter().zip(&want).find(|(g, w)| g != w)
+            );
+        }
+    }
 }

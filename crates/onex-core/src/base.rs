@@ -680,6 +680,7 @@ mod tests {
             let b = at(threads);
             assert_eq!(b.config.threads, threads);
             assert_eq!(b.store.slabs(), one.store.slabs(), "{threads} threads");
+            assert_eq!(b.stats(), one.stats(), "{threads} threads");
             assert_eq!(
                 crate::snapshot::encode(&b),
                 crate::snapshot::encode(&one),

@@ -375,7 +375,11 @@ pub fn build_length_groups(dataset: &Dataset, len: usize, config: &OnexConfig) -
     if let crate::ClusterStrategy::KMeansRefined { iters } = config.cluster {
         lloyd_refine(dataset, len, config, &refs, &mut asg, iters);
     }
-    asg.finish(dataset, config)
+    let mut slab = asg.finish(dataset, config);
+    // Exact capacities: the base's footprint must not depend on whether
+    // the slab was built here or cloned home from a worker.
+    slab.shrink_to_fit();
+    slab
 }
 
 /// Lloyd refinement over the greedy groups (tech-report's alternative

@@ -145,8 +145,12 @@ where
         }
     });
     // The scope re-raised any worker's panic above, so every item was
-    // claimed, finished and received: no slot is empty.
-    slots.into_iter().flatten().collect()
+    // claimed, finished and received: no slot is empty. Sized up front,
+    // like the sequential path's `collect`, so the result's capacity does
+    // not depend on the worker count.
+    let mut out = Vec::with_capacity(n);
+    out.extend(slots.into_iter().flatten());
+    out
 }
 
 #[cfg(test)]

@@ -40,7 +40,10 @@
 //! every prune uses a strictly-greater test (tier 0 additionally
 //! guard-banded by [`PAA_TIER0_MARGIN`]), so a pruned candidate can never
 //! be (or tie into) the true answer — the cascade changes work done,
-//! never results.
+//! never results. The verified range query runs the same tiers on its
+//! members ([`cascade_tiers`]) but batches their DTWs on [`DtwLanes`],
+//! and lets members its ED certificate admits skip the tiers; see
+//! [`within_threshold`].
 
 use super::par::{fan_stripes, plan_workers, SharedCutoff, SharedTopK};
 use super::validate_query;
@@ -59,8 +62,8 @@ use crate::symindex::SymIndex;
 use crate::{GroupId, OnexBase, OnexConfig, OnexError, QueryStats, Result};
 use onex_dist::{
     lb_keogh, lb_keogh_cumulative_into, lb_keogh_sq_abandon, lb_kim_fl, lb_paa_env_sq,
-    paa_envelope_into, paa_into, paa_segment_weights_into, DtwBuffer, Envelope, EnvelopeRef,
-    EnvelopeScratch, Window,
+    paa_envelope_into, paa_into, paa_segment_weights_into, DtwBuffer, DtwLanes, Envelope,
+    EnvelopeRef, EnvelopeScratch, Lane, Window, LANES,
 };
 use onex_ts::SubseqRef;
 use std::time::Instant;
@@ -258,6 +261,8 @@ pub(crate) struct SearchCtx {
     pub skip: Vec<bool>,
     /// Scratch for the index probe's per-segment proxy sketch.
     pub proxy: Vec<f64>,
+    /// Verified-range DTWs waiting for a lane (empty between scans).
+    pub queue: MemberQueue,
 }
 
 impl SearchCtx {
@@ -265,6 +270,8 @@ impl SearchCtx {
     pub fn begin(&mut self) {
         self.stats = QueryStats::default();
         self.qenv.begin();
+        // Empty unless a scan on this thread unwound mid-length.
+        self.queue.pending.clear();
     }
 
     /// Checks the time/evaluation budget, latching `stats.truncated` once
@@ -454,6 +461,59 @@ fn cascade_eval(
         ref mut suffix,
         ..
     } = *ctx;
+    let suffixed = cascade_tiers(
+        q,
+        cand,
+        cand_env,
+        cand_paa,
+        cand_paa_env,
+        cutoff,
+        p,
+        stats,
+        qenv,
+        suffix,
+        kind,
+    )?;
+    // Tier 4: DTW. With the query envelope at hand, its suffix sums let
+    // the kernel abandon rows that provably cannot beat the cutoff even
+    // before the remaining point costs accrue. Argument order is flipped
+    // there (candidate rows against the query) because the suffix bounds
+    // the candidate's contributions; DTW's DP is transpose-symmetric, so
+    // the value is bit-identical either way.
+    kind.charge_dtw(stats);
+    let d = if suffixed {
+        buf.dist_early_abandon_with_suffix(cand, q, p.window, cutoff, suffix)
+    } else {
+        buf.dist_early_abandon(q, cand, p.window, cutoff)
+    };
+    if d.is_none() {
+        stats.early_abandons += 1;
+    }
+    d
+}
+
+/// Tiers 0–3 of [`cascade_eval`], charging every bound it computes and
+/// every prune. `None`: a bound proved `DTW > cutoff`. `Some(true)`: the
+/// candidate survives and `suffix` now holds its query-envelope suffix
+/// bound for tier 4 (candidate rows against the query); `Some(false)`: it
+/// survives and tier 4 runs plain (query rows against the candidate).
+// Always inlined: folded into `cascade_eval`, the best-match and top-k
+// hot path keeps the single call per candidate it had before the split.
+#[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
+#[inline(always)]
+fn cascade_tiers(
+    q: &[f64],
+    cand: &[f64],
+    cand_env: Option<EnvelopeRef<'_>>,
+    cand_paa: Option<&[f64]>,
+    cand_paa_env: Option<EnvelopeRef<'_>>,
+    cutoff: f64,
+    p: &SearchParams,
+    stats: &mut QueryStats,
+    qenv: &mut QueryEnvelopeCache,
+    suffix: &mut Vec<f64>,
+    kind: Candidate,
+) -> Option<bool> {
     let lb_active = p.lb_pruning && cutoff.is_finite() && (p.cascade || kind == Candidate::Rep);
     let equal_len = cand.len() == q.len();
     let radius = p.window.resolve(q.len(), cand.len());
@@ -548,24 +608,13 @@ fn cascade_eval(
             }
         }
     }
-    // Tier 4: DTW. With the query envelope at hand, its suffix sums let
-    // the kernel abandon rows that provably cannot beat the cutoff even
-    // before the remaining point costs accrue. Argument order is flipped
-    // there (candidate rows against the query) because the suffix bounds
-    // the candidate's contributions; DTW's DP is transpose-symmetric, so
-    // the value is bit-identical either way.
-    kind.charge_dtw(stats);
-    let d = match q_entry {
+    match q_entry {
         Some(entry) if suffix_useful => {
             lb_keogh_cumulative_into(cand, &entry.env, suffix);
-            buf.dist_early_abandon_with_suffix(cand, q, p.window, cutoff, suffix)
+            Some(true)
         }
-        _ => buf.dist_early_abandon(q, cand, p.window, cutoff),
-    };
-    if d.is_none() {
-        stats.early_abandons += 1;
+        _ => Some(false),
     }
-    d
 }
 
 /// Finds the best match for a (normalized) query sequence.
@@ -734,11 +783,31 @@ pub(crate) fn top_k(
 /// are rep-derived**: they carry the *representative's* normalized/raw
 /// DTW to the query (equal to [`Match::rep_dist`] in normalized form),
 /// because the member itself was never evaluated. With `verify = true`
-/// each member's true DTW is computed (through the lower-bound cascade,
-/// with `st` as the cutoff) and filtered to `≤ st`, which also finds
-/// members of *uncertified* boundary groups (reps in `(ST/2, ST·1.5]`)
-/// that still qualify individually — and then `raw_dtw` is the member's
-/// own.
+/// each member's true DTW is computed (with `st` as the cutoff) and
+/// filtered to `≤ st`, which also finds members of *uncertified* boundary
+/// groups (reps in `(ST/2, ST·1.5]`) that still qualify individually —
+/// and then `raw_dtw` is the member's own.
+///
+/// **The membership certificate.** On equal lengths the diagonal is a
+/// warping path inside every band, so by the triangle inequality on ED
+/// `DTW(q, m) ≤ ED(q, m) ≤ ED(q, rep) + ED(m, rep)`. Each member's
+/// `ED(m, rep)` is stored, sorted, in the slab's member list, so one
+/// `ED(q, rep)` per verified group certifies a prefix of its members:
+/// those with `(ED(q, rep) + ED(m, rep))·(1 + PAA_TIER0_MARGIN) ≤ st·norm`.
+/// For them no lower-bound tier can prune and no abandon can fire, so
+/// they skip tiers 0–2 and the suffix array and go straight to DTW; the
+/// guard band absorbs the few ulps by which the two ED sums and the DTW
+/// can round apart. Only finalized groups qualify — before finalization
+/// the stored EDs are zero placeholders. The exact `≤ st` filter still
+/// runs on each member's own DTW, so a wrong certificate could only move
+/// work counters, never the answer.
+///
+/// Verification DTWs — certified members and the tiers' survivors alike —
+/// queue up across the groups of one length and run [`LANES`] at a time
+/// on [`DtwLanes`], bit-identical to the scalar kernel. Each is charged
+/// and budget-checked when it is queued, and the queue is flushed before
+/// a budget stop, so a truncated scan stops at the same member as a
+/// one-at-a-time scan would.
 pub(crate) fn within_threshold(
     base: &OnexBase,
     q: &[f64],
@@ -757,16 +826,16 @@ pub(crate) fn within_threshold(
         }
     }
     let mut out = Vec::new();
-    'lengths: for len in length_schedule(base, q.len(), mode) {
+    for len in length_schedule(base, q.len(), mode) {
         let Some((first, slab)) = base.store().slab_for_len(len) else {
             continue;
         };
         ctx.stats.lengths_visited += 1;
-        let norm = 2.0 * q.len().max(len) as f64;
         // Reps beyond 1.5·ST can contain no qualifying member even
         // under verification (member ≤ ST and Lemma-2-style bounds
         // keep everything near the rep), so bound the scan there.
         let scan_limit = if verify { st * 1.5 } else { st / 2.0 };
+        let norm = 2.0 * q.len().max(len) as f64;
         // The rep cutoff is fixed for the whole length, so the symbolic
         // index (where applicable) can mark its certified skips up front.
         let scan_cutoff = scan_limit * norm;
@@ -780,215 +849,330 @@ pub(crate) fn within_threshold(
         if p.symindex && !masked {
             ctx.stats.index_fallbacks += 1;
         }
+        let scan = RangeScan {
+            slab,
+            first,
+            verify,
+            st,
+            norm,
+            scan_limit,
+            masked,
+        };
         // Every cutoff in this scan is fixed for the whole length (no
         // running best to share), so the striped path is not just
         // result-identical but *counter*-identical to the sequential one:
         // each group's evaluation sees exactly the same cutoffs either way.
         let workers = plan_workers(p.query_threads, p.budgeted(), slab.group_count());
-        if workers > 1
-            && range_scan_striped(
-                base, q, slab, first, verify, st, norm, scan_limit, masked, &mut out, p, ctx,
-                workers,
-            )
-        {
+        if workers > 1 && range_scan_striped(base, q, &scan, &mut out, p, ctx, workers) {
             continue;
         }
-        for local in 0..slab.group_count() {
-            if ctx.out_of_budget(p) {
-                break 'lengths;
-            }
-            if masked && ctx.skip[local] {
-                // sound: certified by the bucket bound at exactly this
-                // scan's cutoff — tier 0 would prune this rep with the
-                // same strictly-greater test (see SymIndex::mark_skips),
-                // so no member of the group can be certified or survive
-                // verification; charge the identical counters and skip.
-                charge_index_skip(&mut ctx.stats);
-                continue;
-            }
-            let gid = first + local as GroupId;
-            ctx.stats.groups_visited += 1;
-            let Some(raw) = cascade_eval(
-                q,
-                slab.rep_row(local),
-                slab.envelope_ref(local),
-                slab.is_finalized(local).then(|| slab.paa_rep_row(local)),
-                slab.paa_envelope_ref(local),
-                scan_limit * norm,
-                p,
-                ctx,
-                Candidate::Rep,
-            ) else {
-                continue;
-            };
-            let rep_norm = raw / norm;
-            if rep_norm <= st / 2.0 && !verify {
-                // Certified: every member qualifies (Lemma 2). `dist` and
-                // `raw_dtw` are the representative's — see the fn docs.
-                for &(r, _) in slab.members(local) {
-                    out.push(Match {
-                        subseq: r,
-                        dist: rep_norm,
-                        raw_dtw: raw,
-                        group: gid,
-                        rep_dist: rep_norm,
-                    });
-                }
-            } else if rep_norm <= scan_limit && verify {
-                for (idx, &(r, _)) in slab.members(local).iter().enumerate() {
-                    if ctx.out_of_budget(p) {
-                        break 'lengths;
-                    }
-                    let vals = base.dataset().subseq_unchecked(r);
-                    let Some(member_raw) = cascade_eval(
-                        q,
-                        vals,
-                        None,
-                        Some(slab.member_paa_row(local, idx)),
-                        None,
-                        st * norm,
-                        p,
-                        ctx,
-                        Candidate::Member,
-                    ) else {
-                        continue;
-                    };
-                    let d = member_raw / norm;
-                    if d <= st {
-                        out.push(Match {
-                            subseq: r,
-                            dist: d,
-                            raw_dtw: member_raw,
-                            group: gid,
-                            rep_dist: rep_norm,
-                        });
-                    }
-                }
-            }
+        // The mask was filled in this context; lend it to the scan
+        // read-only and put it back (it is per-length scratch).
+        let skip = std::mem::take(&mut ctx.skip);
+        let complete = range_scan(
+            base,
+            q,
+            &scan,
+            0..slab.group_count(),
+            &skip,
+            &mut out,
+            p,
+            ctx,
+        );
+        ctx.skip = skip;
+        if !complete {
+            break;
         }
     }
     out.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.subseq.cmp(&b.subseq)));
     Ok(out)
 }
 
+/// What [`within_threshold`] fixes for one length before scanning it.
+struct RangeScan<'s> {
+    slab: &'s LengthSlab,
+    first: GroupId,
+    verify: bool,
+    st: f64,
+    /// `2·max(len q, len)`: raw DTW over `norm` is Def. 6's DTW̄.
+    norm: f64,
+    /// Normalized bound past which a representative is not opened.
+    scan_limit: f64,
+    /// Whether `skip` holds the symbolic index's certified-skip mask.
+    masked: bool,
+}
+
+/// One verification DTW waiting for a lane.
+#[derive(Debug, Clone, Copy)]
+struct Pending {
+    subseq: SubseqRef,
+    group: GroupId,
+    rep_norm: f64,
+    /// Whether the slot's suffix buffer holds the member's tier-4 suffix
+    /// bound (then the DTW runs member rows against the query).
+    suffixed: bool,
+}
+
+/// The verified-range member queue: DTWs wait here, across the groups of
+/// one length, until [`LANES`] of them can run in lockstep.
+#[derive(Debug, Default)]
+pub(crate) struct MemberQueue {
+    lanes: DtwLanes,
+    pending: Vec<Pending>,
+    /// The suffix bound of each slot, reused across batches.
+    suffixes: [Vec<f64>; LANES],
+}
+
+impl MemberQueue {
+    /// Runs every queued DTW and emits the members within `st`. Each was
+    /// charged to `dtw_evals` when it was queued; only abandons are
+    /// charged here.
+    fn flush(
+        &mut self,
+        base: &OnexBase,
+        q: &[f64],
+        scan: &RangeScan<'_>,
+        window: Window,
+        stats: &mut QueryStats,
+        out: &mut Vec<Match>,
+    ) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let MemberQueue {
+            lanes,
+            pending,
+            suffixes,
+        } = self;
+        let batch: [Lane<'_>; LANES] = std::array::from_fn(|slot| match pending.get(slot) {
+            Some(m) => {
+                let vals = base.dataset().subseq_unchecked(m.subseq);
+                if m.suffixed {
+                    Lane {
+                        x: vals,
+                        y: q,
+                        suffix_sq: Some(&suffixes[slot]),
+                    }
+                } else {
+                    Lane {
+                        x: q,
+                        y: vals,
+                        suffix_sq: None,
+                    }
+                }
+            }
+            None => Lane {
+                x: &[],
+                y: &[],
+                suffix_sq: None,
+            },
+        });
+        let cutoff = scan.st * scan.norm;
+        let dists = lanes.dist_early_abandon(&batch[..pending.len()], window, cutoff);
+        for (m, d) in pending.iter().zip(dists) {
+            let Some(raw) = d else {
+                stats.early_abandons += 1;
+                continue;
+            };
+            let dist = raw / scan.norm;
+            if dist <= scan.st {
+                out.push(Match {
+                    subseq: m.subseq,
+                    dist,
+                    raw_dtw: raw,
+                    group: m.group,
+                    rep_dist: m.rep_norm,
+                });
+            }
+        }
+        pending.clear();
+    }
+}
+
+/// The groups `locals` of one length, for both the sequential scan and a
+/// stripe of [`range_scan_striped`]: each representative through the
+/// cascade at the length's fixed scan bound, then its members — emitted
+/// as-is when the group is certified and `verify` is off, or verified
+/// through the [`MemberQueue`]. Returns `false` when the budget stopped
+/// the scan; the queue is flushed either way.
+#[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
+fn range_scan(
+    base: &OnexBase,
+    q: &[f64],
+    scan: &RangeScan<'_>,
+    locals: impl Iterator<Item = usize>,
+    skip: &[bool],
+    out: &mut Vec<Match>,
+    p: &SearchParams,
+    ctx: &mut SearchCtx,
+) -> bool {
+    let slab = scan.slab;
+    let cutoff = scan.st * scan.norm;
+    let mut complete = true;
+    'groups: for local in locals {
+        if ctx.out_of_budget(p) {
+            complete = false;
+            break;
+        }
+        if scan.masked && skip[local] {
+            // sound: certified by the bucket bound at exactly this scan's
+            // cutoff — tier 0 would prune this rep with the same
+            // strictly-greater test (see SymIndex::mark_skips), so no
+            // member of the group can be certified or survive
+            // verification; charge the identical counters and skip.
+            charge_index_skip(&mut ctx.stats);
+            continue;
+        }
+        let gid = scan.first + local as GroupId;
+        ctx.stats.groups_visited += 1;
+        let Some(raw) = cascade_eval(
+            q,
+            slab.rep_row(local),
+            slab.envelope_ref(local),
+            slab.is_finalized(local).then(|| slab.paa_rep_row(local)),
+            slab.paa_envelope_ref(local),
+            scan.scan_limit * scan.norm,
+            p,
+            ctx,
+            Candidate::Rep,
+        ) else {
+            continue;
+        };
+        let rep_norm = raw / scan.norm;
+        if !scan.verify {
+            if rep_norm <= scan.st / 2.0 {
+                // Certified: every member qualifies (Lemma 2). `dist` and
+                // `raw_dtw` are the representative's — see the fn docs.
+                out.extend(slab.members(local).iter().map(|&(r, _)| Match {
+                    subseq: r,
+                    dist: rep_norm,
+                    raw_dtw: raw,
+                    group: gid,
+                    rep_dist: rep_norm,
+                }));
+            }
+            continue;
+        }
+        if rep_norm > scan.scan_limit {
+            continue;
+        }
+        let members = slab.members(local);
+        // sound: members are sorted by their stored ED to the finalized
+        // rep, so the certified ones are a prefix. For each,
+        // DTW(q, m) ≤ ED(q, rep) + ED(m, rep) ≤ cutoff / (1 + margin):
+        // every tier's bound and every row minimum lies below the cutoff,
+        // so skipping tiers 0–2 drops no prune and no abandon, and the
+        // member's own DTW still decides its membership below.
+        let certified = if slab.is_finalized(local) && q.len() == slab.subseq_len() {
+            let ed_q = onex_dist::ed(q, slab.rep_row(local));
+            members.partition_point(|&(_, ed_m)| (ed_q + ed_m) * (1.0 + PAA_TIER0_MARGIN) <= cutoff)
+        } else {
+            0
+        };
+        for (idx, &(r, _)) in members.iter().enumerate() {
+            if ctx.out_of_budget(p) {
+                complete = false;
+                break 'groups;
+            }
+            let suffixed = if idx < certified {
+                false
+            } else {
+                let SearchCtx {
+                    ref mut stats,
+                    ref mut qenv,
+                    ref mut queue,
+                    ..
+                } = *ctx;
+                let slot = queue.pending.len();
+                let tiers = cascade_tiers(
+                    q,
+                    base.dataset().subseq_unchecked(r),
+                    None,
+                    Some(slab.member_paa_row(local, idx)),
+                    None,
+                    cutoff,
+                    p,
+                    stats,
+                    qenv,
+                    &mut queue.suffixes[slot],
+                    Candidate::Member,
+                );
+                match tiers {
+                    Some(suffixed) => suffixed,
+                    None => continue,
+                }
+            };
+            Candidate::Member.charge_dtw(&mut ctx.stats);
+            ctx.queue.pending.push(Pending {
+                subseq: r,
+                group: gid,
+                rep_norm,
+                suffixed,
+            });
+            if ctx.queue.pending.len() == LANES {
+                ctx.queue
+                    .flush(base, q, scan, p.window, &mut ctx.stats, out);
+            }
+        }
+    }
+    ctx.queue
+        .flush(base, q, scan, p.window, &mut ctx.stats, out);
+    complete
+}
+
 /// The striped-parallel group scan of [`within_threshold`] for one
-/// length. Unlike the best-match and top-k scans there is no evolving
-/// cutoff here — the rep scan bound (`scan_limit·norm`) and the member
-/// verification bound (`st·norm`) are fixed for the whole length, and the
-/// certified-skip mask (when engaged) was marked up front at that same
-/// fixed bound — so each group's evaluation is completely independent and
-/// the striped scan reproduces the sequential scan's matches *and*
-/// counters exactly at any worker count. Matches are appended in worker
-/// order; the caller's total-order sort on `(dist, subseq)` erases the
-/// difference from the sequential append order.
+/// length: worker `w` runs [`range_scan`] over groups `w, w + W, …`. Unlike
+/// the best-match and top-k scans there is no evolving cutoff here — the
+/// rep scan bound (`scan_limit·norm`) and the member verification bound
+/// (`st·norm`) are fixed for the whole length, and the certified-skip mask
+/// (when engaged) was marked up front at that same fixed bound — so each
+/// group's evaluation is completely independent and the striped scan
+/// reproduces the sequential scan's matches *and* counters exactly at any
+/// worker count. Matches are appended in worker order; the caller's
+/// total-order sort on `(dist, subseq)` erases the difference from the
+/// sequential append order.
 ///
 /// Returns `false` — with `ctx.stats.degraded` latched, no matches
 /// appended and no counters charged — when a worker panicked; the caller
 /// must then run the sequential twin for this length, which reproduces the
 /// striped scan's would-be answer exactly.
-#[allow(clippy::too_many_arguments, reason = "one operand per scan input")]
 fn range_scan_striped(
     base: &OnexBase,
     q: &[f64],
-    slab: &LengthSlab,
-    first: GroupId,
-    verify: bool,
-    st: f64,
-    norm: f64,
-    scan_limit: f64,
-    masked: bool,
+    scan: &RangeScan<'_>,
     out: &mut Vec<Match>,
     p: &SearchParams,
     ctx: &mut SearchCtx,
     workers: usize,
 ) -> bool {
-    // The mask was filled in the caller's context; lend it to the workers
-    // read-only and put it back afterwards (it is per-length scratch).
-    let skip = std::mem::take(&mut ctx.skip);
-    let skip_ref = skip.as_slice();
+    let skip = ctx.skip.as_slice();
+    let groups = scan.slab.group_count();
     let results = fan_stripes(workers, |w| {
         let mut wctx = SearchCtx::default();
         let mut local_out: Vec<Match> = Vec::new();
-        for local in (w..slab.group_count()).step_by(workers) {
-            if masked && skip_ref[local] {
-                // sound: identical to the sequential scan — the mask was
-                // certified at exactly this scan's fixed cutoff, so tier 0
-                // would prune this rep with the same strictly-greater
-                // test; no member of the group can be certified or survive
-                // verification.
-                charge_index_skip(&mut wctx.stats);
-                continue;
-            }
-            let gid = first + local as GroupId;
-            wctx.stats.groups_visited += 1;
-            let Some(raw) = cascade_eval(
-                q,
-                slab.rep_row(local),
-                slab.envelope_ref(local),
-                slab.is_finalized(local).then(|| slab.paa_rep_row(local)),
-                slab.paa_envelope_ref(local),
-                scan_limit * norm,
-                p,
-                &mut wctx,
-                Candidate::Rep,
-            ) else {
-                continue;
-            };
-            let rep_norm = raw / norm;
-            if rep_norm <= st / 2.0 && !verify {
-                // Certified: every member qualifies (Lemma 2); `dist` and
-                // `raw_dtw` are the representative's, as in the sequential
-                // scan.
-                for &(r, _) in slab.members(local) {
-                    local_out.push(Match {
-                        subseq: r,
-                        dist: rep_norm,
-                        raw_dtw: raw,
-                        group: gid,
-                        rep_dist: rep_norm,
-                    });
-                }
-            } else if rep_norm <= scan_limit && verify {
-                for (mi, &(r, _)) in slab.members(local).iter().enumerate() {
-                    let vals = base.dataset().subseq_unchecked(r);
-                    let Some(member_raw) = cascade_eval(
-                        q,
-                        vals,
-                        None,
-                        Some(slab.member_paa_row(local, mi)),
-                        None,
-                        st * norm,
-                        p,
-                        &mut wctx,
-                        Candidate::Member,
-                    ) else {
-                        continue;
-                    };
-                    let d = member_raw / norm;
-                    if d <= st {
-                        local_out.push(Match {
-                            subseq: r,
-                            dist: d,
-                            raw_dtw: member_raw,
-                            group: gid,
-                            rep_dist: rep_norm,
-                        });
-                    }
-                }
-            }
-        }
-        (local_out, wctx)
+        // Striped scans carry no budget (`plan_workers`), so the stripe
+        // always completes.
+        range_scan(
+            base,
+            q,
+            scan,
+            (w..groups).step_by(workers),
+            skip,
+            &mut local_out,
+            p,
+            &mut wctx,
+        );
+        (local_out, wctx.stats)
     });
-    ctx.skip = skip;
     let Some(results) = results else {
         // A worker panicked: every partial result is discarded and the
         // caller re-runs this length sequentially.
         ctx.stats.degraded = true;
         return false;
     };
-    for (local_out, wctx) in results {
+    for (local_out, stats) in results {
         out.extend(local_out);
-        ctx.stats.absorb(&wctx.stats);
+        ctx.stats.absorb(&stats);
     }
     true
 }

@@ -870,6 +870,29 @@ impl LengthSlab {
         self.env_radius[local] as usize
     }
 
+    /// Drops the growth capacity construction leaves in every plane and
+    /// per-group list, so the slab holds (and [`Self::footprint`] counts)
+    /// exactly its contents — the same as a clone of it would.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.paa_weights.shrink_to_fit();
+        self.reps.shrink_to_fit();
+        self.env_lo.shrink_to_fit();
+        self.env_hi.shrink_to_fit();
+        self.sums.shrink_to_fit();
+        self.paa_reps.shrink_to_fit();
+        self.paa_env_lo.shrink_to_fit();
+        self.paa_env_hi.shrink_to_fit();
+        self.env_radius.shrink_to_fit();
+        self.members.shrink_to_fit();
+        self.members.iter_mut().for_each(Vec::shrink_to_fit);
+        self.member_paa.shrink_to_fit();
+        self.member_paa.iter_mut().for_each(Vec::shrink_to_fit);
+        self.rep_words.shrink_to_fit();
+        self.member_words.shrink_to_fit();
+        self.member_words.iter_mut().for_each(Vec::shrink_to_fit);
+        self.finalized.shrink_to_fit();
+    }
+
     /// Memory accounting for this slab (Table 4 quantities plus the
     /// allocation counts the columnar layout is about).
     pub fn footprint(&self) -> LengthFootprint {

@@ -13,7 +13,9 @@
 //!   (the "early abandoning of DTW" optimization of §5.3 / the UCR suite),
 //!   on the same rolling rows,
 //! * [`dtw_with_path`] — full matrix + backtracking when the alignment itself
-//!   is needed (visualization, diagnostics).
+//!   is needed (visualization, diagnostics),
+//! * [`DtwLanes`] — up to [`LANES`] same-shape early-abandoning DTWs in
+//!   lockstep, each bit-identical to [`DtwBuffer`]'s.
 //!
 //! Reusable buffers ([`DtwBuffer`]) keep the query processor allocation-free
 //! across candidate evaluations.
@@ -48,6 +50,16 @@ pub struct DtwBuffer {
 #[inline(always)]
 fn min2(a: f64, b: f64) -> f64 {
     if a < b {
+        a
+    } else {
+        b
+    }
+}
+
+/// The larger of two non-NaN values as a single `maxsd`.
+#[inline(always)]
+fn max2(a: f64, b: f64) -> f64 {
+    if a > b {
         a
     } else {
         b
@@ -171,6 +183,169 @@ impl DtwBuffer {
         }
         // Cell (n, m) sits at band slot m − (n − r).
         Some(self.prev[m + r - n].sqrt())
+    }
+}
+
+/// How many DTWs [`DtwLanes`] runs in lockstep.
+pub const LANES: usize = 8;
+
+/// One DP cell (or one input sample) of every lane.
+type Cells = [f64; LANES];
+
+/// One DTW of a [`DtwLanes`] batch: the arguments of
+/// [`DtwBuffer::dist_early_abandon`] (`suffix_sq: None`) or of
+/// [`DtwBuffer::dist_early_abandon_with_suffix`].
+#[derive(Debug, Clone, Copy)]
+pub struct Lane<'a> {
+    /// The sequence whose samples index the DP rows.
+    pub x: &'a [f64],
+    /// The sequence whose samples index the DP columns.
+    pub y: &'a [f64],
+    /// Optional per-row suffix lower bound in squared space, at least
+    /// `x.len() + 1` long.
+    pub suffix_sq: Option<&'a [f64]>,
+}
+
+/// Up to [`LANES`] same-shape early-abandoning DTWs in lockstep.
+///
+/// [`DtwBuffer`]'s rolling-row loop is one dependency chain per row — each
+/// cell's `left` feeds the next — so a single DTW waits on the latency of
+/// an add and two compares per cell. Here every DP cell is a `[f64; 8]`
+/// holding the same cell of eight independent DTWs: the chain is the same
+/// length, but each link does eight lanes' work, which the compiler lowers
+/// to packed SSE2 arithmetic on baseline x86-64 (no `std::arch`, no
+/// target flags).
+///
+/// Each lane performs exactly [`DtwBuffer`]'s per-cell operations in the
+/// same order and its own row-abandon test (`row_min + suffix > cutoff²`,
+/// with suffix `0` for a lane without one), so every lane's value and its
+/// `None` decision are bit-identical to the scalar kernel's on the same
+/// arguments. Lanes never interact; the batch stops early only once every
+/// lane has abandoned.
+#[derive(Debug, Default, Clone)]
+pub struct DtwLanes {
+    prev: Vec<Cells>,
+    curr: Vec<Cells>,
+    x: Vec<Cells>,
+    /// Every lane's `y`, padded with `∞` exactly like [`DtwBuffer`]'s.
+    y_pad: Vec<Cells>,
+    /// Every lane's suffix bound, `0` for a lane without one.
+    suffix: Vec<Cells>,
+}
+
+impl DtwLanes {
+    /// Creates an empty batch kernel; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Runs every lane of `lanes` under `window` against one `cutoff`;
+    /// entry `l` of the result is lane `l`'s
+    /// [`DtwBuffer::dist_early_abandon`] (or `_with_suffix`) result, bit for
+    /// bit, and the entries past `lanes.len()` are `None`.
+    ///
+    /// # Panics
+    /// Panics if `lanes` holds more than [`LANES`] entries or a suffix is
+    /// shorter than `x.len() + 1`. Every lane must share `x.len()` and
+    /// `y.len()` (checked by a debug assertion).
+    pub fn dist_early_abandon(
+        &mut self,
+        lanes: &[Lane<'_>],
+        window: Window,
+        cutoff: f64,
+    ) -> [Option<f64>; LANES] {
+        let mut out = [None; LANES];
+        assert!(lanes.len() <= LANES, "at most {LANES} lanes per batch");
+        let Some(first) = lanes.first() else {
+            return out;
+        };
+        let (n, m) = (first.x.len(), first.y.len());
+        debug_assert!(
+            lanes.iter().all(|l| l.x.len() == n && l.y.len() == m),
+            "every lane of a batch must share its shape"
+        );
+        if n == 0 || m == 0 {
+            let d = if n == m { 0.0 } else { f64::INFINITY };
+            out[..lanes.len()].fill(Some(d));
+            return out;
+        }
+        let r = window.resolve(n, m);
+        let w = 2 * r + 1;
+        let cutoff_sq = if cutoff.is_finite() {
+            cutoff * cutoff
+        } else {
+            f64::INFINITY
+        };
+        // Unused lanes compute on `0` against `∞` padding: finite-or-∞
+        // values that are never read back.
+        self.x.clear();
+        self.x.resize(n, [0.0; LANES]);
+        self.y_pad.clear();
+        self.y_pad.resize(n + 2 * r, [f64::INFINITY; LANES]);
+        self.suffix.clear();
+        self.suffix.resize(n + 1, [0.0; LANES]);
+        // A lane abandons at the first row whose `row_min + suffix` exceeds
+        // `cutoff²`, i.e. exactly when the largest such sum over its rows
+        // does: `worst` tracks that maximum, and an unused lane starts at
+        // `∞` so that it never holds the batch open.
+        let mut worst = [f64::INFINITY; LANES];
+        for (l, lane) in lanes.iter().enumerate() {
+            worst[l] = 0.0;
+            for (cell, &v) in self.x.iter_mut().zip(lane.x) {
+                cell[l] = v;
+            }
+            for (cell, &v) in self.y_pad[r..].iter_mut().zip(lane.y) {
+                cell[l] = v;
+            }
+            if let Some(s) = lane.suffix_sq {
+                assert!(s.len() > n, "suffix bound must cover every row");
+                for (cell, &v) in self.suffix.iter_mut().zip(s) {
+                    cell[l] = v;
+                }
+            }
+        }
+        for row in [&mut self.prev, &mut self.curr] {
+            row.clear();
+            row.resize(w + 1, [f64::INFINITY; LANES]);
+        }
+        self.prev[r] = [0.0; LANES];
+        for i in 0..n {
+            let xi = self.x[i];
+            let ys = &self.y_pad[i..i + w];
+            let prev = &self.prev[..w + 1];
+            let curr = &mut self.curr[..w];
+            let mut left = [f64::INFINITY; LANES];
+            let mut row_min = [f64::INFINITY; LANES];
+            // The cell above this one is the diagonal of the next.
+            let mut diag = prev[0];
+            for k in 0..w {
+                let (yk, up) = (ys[k], prev[k + 1]);
+                for l in 0..LANES {
+                    let d = xi[l] - yk[l];
+                    left[l] = d * d + min2(min2(up[l], diag[l]), left[l]);
+                    row_min[l] = min2(row_min[l], left[l]);
+                }
+                curr[k] = left;
+                diag = up;
+            }
+            let rest = self.suffix[i + 1];
+            let mut fewest = f64::INFINITY;
+            for l in 0..LANES {
+                worst[l] = max2(worst[l], row_min[l] + rest[l]);
+                fewest = min2(fewest, worst[l]);
+            }
+            if fewest > cutoff_sq {
+                return out;
+            }
+            std::mem::swap(&mut self.prev, &mut self.curr);
+        }
+        let end = self.prev[m + r - n];
+        for l in 0..lanes.len() {
+            if worst[l] <= cutoff_sq {
+                out[l] = Some(end[l].sqrt());
+            }
+        }
+        out
     }
 }
 
@@ -367,6 +542,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lanes_handle_empty_and_short_batches() {
+        let mut lanes = DtwLanes::new();
+        assert_eq!(lanes.dist_early_abandon(&[], UNC, 1.0), [None; LANES]);
+        let empty = Lane {
+            x: &[],
+            y: &[],
+            suffix_sq: None,
+        };
+        let got = lanes.dist_early_abandon(&[empty, empty], UNC, 1.0);
+        assert_eq!(got[..3], [Some(0.0), Some(0.0), None]);
+        let one = Lane {
+            x: &[1.0],
+            y: &[],
+            suffix_sq: None,
+        };
+        assert_eq!(
+            lanes.dist_early_abandon(&[one], UNC, 1.0)[0],
+            Some(f64::INFINITY)
+        );
+        let pair = Lane {
+            x: &[1.0],
+            y: &[4.0],
+            suffix_sq: None,
+        };
+        assert_eq!(lanes.dist_early_abandon(&[pair], UNC, 5.0)[0], Some(3.0));
+        assert_eq!(lanes.dist_early_abandon(&[pair], UNC, 2.0)[0], None);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "share its shape")]
+    fn lanes_reject_a_mixed_shape_batch() {
+        let a = Lane {
+            x: &[1.0, 2.0],
+            y: &[1.0, 2.0],
+            suffix_sq: None,
+        };
+        let b = Lane { y: &[1.0], ..a };
+        DtwLanes::new().dist_early_abandon(&[a, b], UNC, f64::INFINITY);
     }
 
     #[test]

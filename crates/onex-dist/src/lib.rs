@@ -56,6 +56,21 @@
 //! unchanged. A differential property test pins this against the previous
 //! loop, kept under `cfg(test)`.
 //!
+//! One DTW is latency-bound: each cell's `left` feeds the next, so a row
+//! waits on an add and two compares per cell. Where many DTWs of one shape
+//! run against one cutoff — the members a verified range query checks —
+//! [`DtwLanes`] runs up to [`LANES`] of them in lockstep. Every DP cell is
+//! a `[f64; 8]` holding the same cell of eight independent DTWs, so each
+//! link of the chain does eight lanes' work, and the compiler lowers the
+//! lane loop to packed SSE2 on baseline x86-64 — safe Rust, no
+//! `std::arch`, no target flags. Each lane does exactly [`DtwBuffer`]'s
+//! per-cell operations in the same order, with its own row-abandon test
+//! and optional suffix bound, so its value and its `None` are bit-identical
+//! to the scalar kernel's; a differential property test pins that over
+//! 1–8 live lanes, equal and unequal lengths, every window kind, finite and
+//! infinite cutoffs, and batches mixing lanes with and without a suffix.
+//! All lanes of a batch must share both lengths (a debug assertion).
+//!
 //! Inputs are expected to be finite (guaranteed by `onex-ts` validation);
 //! kernels are panic-free for any finite input, including empty slices where
 //! a distance is meaningful.
@@ -89,7 +104,9 @@ pub mod lp;
 pub mod paa;
 mod window;
 
-pub use dtw::{dtw, dtw_early_abandon, dtw_normalized, dtw_with_path, DtwBuffer};
+pub use dtw::{
+    dtw, dtw_early_abandon, dtw_normalized, dtw_with_path, DtwBuffer, DtwLanes, Lane, LANES,
+};
 pub use ed::{ed, ed_early_abandon_sq, ed_normalized, ed_sq};
 pub use envelope::{Envelope, EnvelopeRef, EnvelopeScratch};
 pub use lb::{

@@ -5,7 +5,8 @@
 use onex_dist::{
     dtw, dtw_early_abandon, dtw_normalized, dtw_with_path, ed, ed_early_abandon_sq, ed_normalized,
     ed_sq, lb_keogh, lb_keogh_cumulative, lb_keogh_sq_abandon, lb_kim_fl, lb_paa_env_sq, lb_paa_sq,
-    paa, paa_envelope_into, paa_into, paa_segment_weights, pdtw, DtwBuffer, Envelope, Window,
+    paa, paa_envelope_into, paa_into, paa_segment_weights, pdtw, DtwBuffer, DtwLanes, Envelope,
+    Lane, Window, LANES,
 };
 use proptest::prelude::*;
 
@@ -390,6 +391,71 @@ proptest! {
         prop_assert!(l2 <= l1 + 1e-9);
         // L∞ lower-bounds everything and L1 upper-bounds; triangle for L1
         prop_assert!(lp(&x, &y, LpNorm::L1) >= 0.0);
+    }
+
+    // ---- Lockstep DTW lanes ----
+
+    #[test]
+    fn lanes_are_bit_identical_to_the_scalar_kernel(
+        n in 1..=40usize,
+        m in 1..=40usize,
+        equal in any::<bool>(),
+        live in 1..=LANES,
+        seed in any::<u64>(),
+    ) {
+        // One batch of `live` same-shape lanes, some with a suffix bound
+        // and some without, under every window kind and a spread of
+        // cutoffs: every lane's value and `None` must match `DtwBuffer`'s
+        // on the same arguments, bit for bit.
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        let m = if equal { n } else { m };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut sample = |len: usize| -> Vec<f64> { (0..len).map(|_| rng.gen_range(-2.0..2.0)).collect() };
+        let xs: Vec<Vec<f64>> = (0..live).map(|_| sample(n)).collect();
+        let ys: Vec<Vec<f64>> = (0..live).map(|_| sample(m)).collect();
+        let full = n.max(m);
+        let windows = [
+            Window::Unconstrained,
+            Window::Band(rng.gen_range(0..=full)),
+            Window::Ratio(0.1),
+            Window::Ratio(rng.gen_range(0.0..1.0)),
+        ];
+        let mut scalar = DtwBuffer::new();
+        let mut lanes = DtwLanes::new();
+        for window in windows {
+            let exact: Vec<f64> = xs.iter().zip(&ys).map(|(x, y)| scalar.dist(x, y, window)).collect();
+            // A non-increasing suffix on roughly half the lanes, scaled so
+            // that it decides some of the abandons.
+            let suffixes: Vec<Option<Vec<f64>>> = exact
+                .iter()
+                .map(|&d| {
+                    rng.gen_bool(0.5).then(|| {
+                        let mut s = vec![0.0; n + 1];
+                        for i in (0..n).rev() {
+                            s[i] = s[i + 1] + rng.gen_range(0.0..0.1) * d * d;
+                        }
+                        s
+                    })
+                })
+                .collect();
+            let batch: Vec<Lane<'_>> = (0..live)
+                .map(|l| Lane { x: &xs[l], y: &ys[l], suffix_sq: suffixes[l].as_deref() })
+                .collect();
+            let mid = exact[live / 2];
+            for cutoff in [f64::INFINITY, mid, 0.7 * mid, 1.3 * mid, rng.gen_range(0.0..1.0) * mid] {
+                let got = lanes.dist_early_abandon(&batch, window, cutoff);
+                for (l, lane) in batch.iter().enumerate() {
+                    let want = match lane.suffix_sq {
+                        Some(s) => scalar.dist_early_abandon_with_suffix(lane.x, lane.y, window, cutoff, s),
+                        None => scalar.dist_early_abandon(lane.x, lane.y, window, cutoff),
+                    };
+                    let (got, want) = (got[l].map(f64::to_bits), want.map(f64::to_bits));
+                    prop_assert!(got == want, "lane {} of {}, {:?}, cutoff {}: {:?} vs {:?}",
+                        l, live, window, cutoff, got, want);
+                }
+                prop_assert!(got[live..].iter().all(Option::is_none));
+            }
+        }
     }
 
     // ---- Window resolution ----
